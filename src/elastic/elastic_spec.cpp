@@ -1,55 +1,10 @@
 #include "elastic/elastic_spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <map>
-#include <stdexcept>
+#include "common/spec.hpp"
 
 namespace esg::elastic {
 
-namespace {
-
-[[noreturn]] void bad_spec(std::string_view clause, const std::string& why) {
-  throw std::invalid_argument("elastic spec '" + std::string(clause) +
-                              "': " + why);
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
-double parse_double(std::string_view clause, std::string_view key,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    bad_spec(clause, "malformed number for '" + std::string(key) + "': '" +
-                         std::string(v) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_count(std::string_view clause, std::string_view key,
-                        std::string_view v) {
-  const double d = parse_double(clause, key, v);
-  if (d < 0.0 || d != std::floor(d) || d >= 4294967295.0) {
-    bad_spec(clause,
-             std::string(key) + " must be a small non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
+using spec::fmt;
 
 std::string_view to_string(ElasticPolicy policy) {
   switch (policy) {
@@ -66,13 +21,13 @@ std::string_view to_string(ElasticPolicy policy) {
 }
 
 ElasticSpec parse_elastic_spec(std::string_view text) {
-  const std::string_view clause = trim(text);
+  const std::string_view clause = spec::trim(text);
   ElasticSpec spec;
   if (clause.empty() || clause == "none") return spec;
+  const spec::Context ctx{"elastic spec", clause};
 
   const std::size_t colon = clause.find(':');
-  const std::string_view policy =
-      trim(colon == std::string_view::npos ? clause : clause.substr(0, colon));
+  const std::string_view policy = spec::trim(clause.substr(0, colon));
   if (policy == "queue") {
     spec.policy = ElasticPolicy::kQueue;
   } else if (policy == "rate") {
@@ -80,76 +35,49 @@ ElasticSpec parse_elastic_spec(std::string_view text) {
   } else if (policy == "forecast") {
     spec.policy = ElasticPolicy::kForecast;
   } else {
-    bad_spec(clause, "unknown policy '" + std::string(policy) +
-                         "' (queue|rate|forecast|none)");
+    ctx.fail("unknown policy '" + std::string(policy) +
+             "' (queue|rate|forecast|none)");
   }
 
-  // key=value list after the colon; duplicates rejected.
-  std::map<std::string, std::string, std::less<>> kv;
-  if (colon != std::string_view::npos) {
-    const std::string_view body = clause.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos <= body.size()) {
-      const std::size_t comma = std::min(body.find(',', pos), body.size());
-      const std::string_view pair = trim(body.substr(pos, comma - pos));
-      pos = comma + 1;
-      if (pair.empty()) continue;
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string_view::npos || eq == 0 || eq + 1 == pair.size()) {
-        bad_spec(clause, "expected key=value, got '" + std::string(pair) + "'");
-      }
-      const auto [_, inserted] =
-          kv.emplace(trim(pair.substr(0, eq)), trim(pair.substr(eq + 1)));
-      if (!inserted) {
-        bad_spec(clause, "duplicate key '" +
-                             std::string(trim(pair.substr(0, eq))) + "'");
-      }
-    }
-  }
-
-  for (const auto& [key, value] : kv) {
+  const std::string_view keys =
+      colon == std::string_view::npos ? "" : clause.substr(colon + 1);
+  for (const auto& [key, value] : spec::key_values(keys, ctx)) {
     if (key == "min") {
-      spec.min_nodes = parse_count(clause, key, value);
+      spec.min_nodes = spec::count(value, key, ctx);
     } else if (key == "max") {
-      spec.max_nodes = parse_count(clause, key, value);
+      spec.max_nodes = spec::count(value, key, ctx);
     } else if (key == "out") {
-      spec.out_threshold = parse_double(clause, key, value);
-      if (spec.out_threshold <= 0.0) bad_spec(clause, "out must be > 0");
+      spec.out_threshold = spec::number(value, key, ctx);
+      if (spec.out_threshold <= 0.0) ctx.fail("out must be > 0");
     } else if (key == "step") {
-      spec.out_step = parse_count(clause, key, value);
-      if (spec.out_step == 0) bad_spec(clause, "step must be >= 1");
+      spec.out_step = spec::count(value, key, ctx);
+      if (spec.out_step == 0) ctx.fail("step must be >= 1");
     } else if (key == "idle-ms") {
-      spec.idle_ms = parse_double(clause, key, value);
-      if (spec.idle_ms < 0.0) bad_spec(clause, "idle-ms must be >= 0");
+      spec.idle_ms = spec::number(value, key, ctx);
+      if (spec.idle_ms < 0.0) ctx.fail("idle-ms must be >= 0");
     } else if (key == "eval-ms") {
-      spec.eval_ms = parse_double(clause, key, value);
-      if (spec.eval_ms <= 0.0) bad_spec(clause, "eval-ms must be > 0");
+      spec.eval_ms = spec::number(value, key, ctx);
+      if (spec.eval_ms <= 0.0) ctx.fail("eval-ms must be > 0");
     } else if (key == "provision-ms") {
-      spec.provision_ms = parse_double(clause, key, value);
-      if (spec.provision_ms < 0.0) bad_spec(clause, "provision-ms must be >= 0");
+      spec.provision_ms = spec::number(value, key, ctx);
+      if (spec.provision_ms < 0.0) ctx.fail("provision-ms must be >= 0");
     } else if (key == "alpha") {
-      spec.rate_alpha = parse_double(clause, key, value);
+      spec.rate_alpha = spec::number(value, key, ctx);
       if (spec.rate_alpha <= 0.0 || spec.rate_alpha > 1.0) {
-        bad_spec(clause, "alpha must be in (0, 1]");
+        ctx.fail("alpha must be in (0, 1]");
       }
     } else if (key == "shed") {
-      if (value == "on" || value == "true" || value == "1") {
-        spec.shed = true;
-      } else if (value == "off" || value == "false" || value == "0") {
-        spec.shed = false;
-      } else {
-        bad_spec(clause, "malformed boolean for 'shed': '" + value + "' (on|off)");
-      }
+      spec.shed = spec::on_off(value, key, ctx);
     } else if (key == "shed-margin") {
-      spec.shed_margin = parse_double(clause, key, value);
-      if (spec.shed_margin <= 0.0) bad_spec(clause, "shed-margin must be > 0");
+      spec.shed_margin = spec::number(value, key, ctx);
+      if (spec.shed_margin <= 0.0) ctx.fail("shed-margin must be > 0");
     } else {
-      bad_spec(clause, "unknown key '" + key + "'");
+      ctx.fail("unknown key '" + std::string(key) + "'");
     }
   }
 
   if (spec.max_nodes > 0 && spec.min_nodes > spec.max_nodes) {
-    bad_spec(clause, "min must be <= max");
+    ctx.fail("min must be <= max");
   }
   return spec;
 }

@@ -1,7 +1,8 @@
 // Declarative elastic-fleet policy (DESIGN.md §11).
 //
 // An ElasticSpec describes how the fleet grows and shrinks, parsed from the
-// `--elastic` CLI string. The grammar is one clause, `policy:key=value,...`:
+// `--elastic` CLI string. The grammar is one clause, `policy:key=value,...`,
+// under the shared spec rules (DESIGN.md §5, "Spec grammar"):
 //
 //   queue:min=2,max=16,out=8,step=2,idle-ms=30000
 //       scale out `step` nodes whenever the controller's backlog exceeds
@@ -28,7 +29,7 @@
 //   shed=on|off      admission control with load shedding         (default off)
 //   shed-margin=<f>  shed when projected latency > margin x SLO   (default 1)
 //
-// Violations throw std::invalid_argument naming the clause. A spec whose
+// A spec whose
 // policy can never act (min == max and scale-in disabled, shedding off) is
 // *inert*: the platform evaluates it to pure no-ops, which is what keeps a
 // zero-churn elastic run byte-identical to the static fleet.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <stdexcept>
 #include <string_view>
 
+#include "common/spec.hpp"
 #include "elastic/elastic_spec.hpp"
 #include "fault/fault_spec.hpp"
 #include "forecast/forecast_spec.hpp"
@@ -32,12 +32,7 @@ SchedulerKind parse_scheduler(std::string_view v) {
 /// Duplicates and empty entries are errors.
 std::vector<SchedulerKind> parse_scheduler_list(std::string_view v) {
   std::vector<SchedulerKind> out;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t comma = v.find(',', pos);
-    const std::string_view item =
-        comma == std::string_view::npos ? v.substr(pos)
-                                        : v.substr(pos, comma - pos);
+  for (const std::string_view item : spec::split(v, ',')) {
     if (item.empty()) {
       throw std::invalid_argument(
           "--scheduler list must not have empty entries");
@@ -48,8 +43,6 @@ std::vector<SchedulerKind> parse_scheduler_list(std::string_view v) {
                                   std::string(item) + "'");
     }
     out.push_back(kind);
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
   }
   return out;
 }
@@ -70,84 +63,47 @@ workload::SloSetting parse_slo(std::string_view v) {
                               "' (strict|moderate|relaxed)");
 }
 
-double parse_number(std::string_view key, std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  // from_chars happily parses "nan" and "inf"; neither is a usable knob
-  // value anywhere in the CLI, and NaN in particular slips through every
-  // `< 0` range check below.
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    throw std::invalid_argument("malformed value for " + std::string(key) +
-                                ": '" + std::string(v) + "'");
-  }
-  return out;
-}
-
-/// For time-like knobs: finite and >= 0 (parse_number already rejects
-/// NaN/inf, whose casts to integers would be undefined behaviour anyway).
-double parse_nonnegative(std::string_view key, std::string_view v) {
-  const double d = parse_number(key, v);
-  if (d < 0.0) {
-    throw std::invalid_argument(std::string(key) + " must be non-negative");
-  }
+/// For time-like knobs: finite and >= 0.
+double parse_nonnegative(std::string_view key, std::string_view v,
+                         const spec::Context& ctx = {}) {
+  const double d = spec::number(v, key, ctx);
+  if (d < 0.0) ctx.fail(std::string(key) + " must be non-negative");
   return d;
-}
-
-std::uint64_t parse_unsigned(std::string_view key, std::string_view v) {
-  return static_cast<std::uint64_t>(parse_nonnegative(key, v));
-}
-
-bool parse_bool(std::string_view key, std::string_view v) {
-  if (v == "on" || v == "true" || v == "1") return true;
-  if (v == "off" || v == "false" || v == "0") return false;
-  throw std::invalid_argument("malformed boolean for " + std::string(key) +
-                              ": '" + std::string(v) + "' (on|off)");
 }
 
 /// --seeds accepts either a replica count (`3` -> seeds 42,43,44) or an
 /// explicit comma-separated list (`7,8,9`; a trailing comma marks a
 /// single-element list: `7,`). Empty lists and duplicate seeds are errors.
 std::vector<std::uint64_t> parse_seeds(std::string_view v) {
-  const auto parse_one = [](std::string_view item) {
-    std::uint64_t out = 0;
-    const auto* end = item.data() + item.size();
-    const auto [ptr, ec] = std::from_chars(item.data(), end, out);
-    if (ec != std::errc{} || ptr != end) {
-      throw std::invalid_argument("malformed seed '" + std::string(item) +
-                                  "' in --seeds (non-negative integer)");
-    }
-    return out;
-  };
-
   if (v.find(',') == std::string_view::npos) {
-    const std::size_t count = static_cast<std::size_t>(
-        parse_unsigned("--seeds", v));
+    const std::uint64_t count = spec::count(v, "--seeds");
     if (count == 0) {
       throw std::invalid_argument("--seeds must be positive");
     }
     std::vector<std::uint64_t> seeds;
-    for (std::size_t i = 0; i < count; ++i) seeds.push_back(42 + i);
+    for (std::uint64_t i = 0; i < count; ++i) seeds.push_back(42 + i);
     return seeds;
   }
 
+  std::vector<std::string_view> items = spec::split(v, ',');
+  // A single trailing comma is the explicit-list marker (`7,`); any other
+  // empty element means a malformed (or entirely empty) list.
+  if (items.size() > 1 && items.back().empty() && !items.front().empty()) {
+    items.pop_back();
+  }
   std::vector<std::uint64_t> seeds;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const std::size_t comma = std::min(v.find(',', pos), v.size());
-    const std::string_view item = v.substr(pos, comma - pos);
-    const bool last = comma == v.size();
-    pos = comma + 1;
+  for (const std::string_view item : items) {
     if (item.empty()) {
-      // A single trailing comma is the explicit-list marker; any other
-      // empty element means a malformed (or entirely empty) list.
-      if (last && !seeds.empty()) break;
       throw std::invalid_argument("--seeds list must not have empty entries");
     }
-    seeds.push_back(parse_one(item));
-  }
-  if (seeds.empty()) {
-    throw std::invalid_argument("--seeds list must not be empty");
+    std::uint64_t seed = 0;
+    const auto* end = item.data() + item.size();
+    const auto [ptr, ec] = std::from_chars(item.data(), end, seed);
+    if (ec != std::errc{} || ptr != end) {
+      throw std::invalid_argument("malformed seed '" + std::string(item) +
+                                  "' in --seeds (non-negative integer)");
+    }
+    seeds.push_back(seed);
   }
   std::vector<std::uint64_t> sorted = seeds;
   std::sort(sorted.begin(), sorted.end());
@@ -160,37 +116,24 @@ std::vector<std::uint64_t> parse_seeds(std::string_view v) {
 }
 
 workload::BurstProfile parse_burst_profile(std::string_view body) {
+  const spec::Context ctx{"--arrivals bursty"};
   workload::BurstProfile profile;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = std::min(body.find(',', pos), body.size());
-    const std::string_view pair = body.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("--arrivals bursty: expected key=value, got '" +
-                                  std::string(pair) + "'");
-    }
-    const std::string_view k = pair.substr(0, eq);
-    const std::string_view val = pair.substr(eq + 1);
+  for (const auto& [k, val] : spec::key_values(body, ctx)) {
     if (k == "calm") {
       profile.calm = parse_load(val);
     } else if (k == "burst") {
       profile.burst = parse_load(val);
     } else if (k == "calm-ms") {
-      profile.mean_calm_ms = parse_number("--arrivals calm-ms", val);
+      profile.mean_calm_ms = spec::number(val, k, ctx);
     } else if (k == "burst-ms") {
-      profile.mean_burst_ms = parse_number("--arrivals burst-ms", val);
+      profile.mean_burst_ms = spec::number(val, k, ctx);
     } else {
-      throw std::invalid_argument("--arrivals bursty: unknown key '" +
-                                  std::string(k) +
-                                  "' (calm|burst|calm-ms|burst-ms)");
+      ctx.fail("unknown key '" + std::string(k) +
+               "' (calm|burst|calm-ms|burst-ms)");
     }
   }
   if (profile.mean_calm_ms <= 0.0 || profile.mean_burst_ms <= 0.0) {
-    throw std::invalid_argument(
-        "--arrivals bursty: phase lengths must be positive");
+    ctx.fail("phase lengths must be positive");
   }
   return profile;
 }
@@ -209,42 +152,28 @@ ArrivalConfig parse_arrivals(std::string_view v) {
     return config;
   }
   if (v.starts_with("trace:")) {
+    const spec::Context ctx{"--arrivals trace"};
     config.mode = ArrivalMode::kTrace;
-    std::string_view body = v.substr(6);
+    const std::string_view body = v.substr(6);
     const std::size_t comma = body.find(',');
     const std::string_view file = body.substr(0, comma);
     if (!file.starts_with("@") || file.size() == 1) {
-      throw std::invalid_argument(
-          "--arrivals trace: expected 'trace:@<file>', got '" + std::string(v) +
-          "'");
+      ctx.fail("expected 'trace:@<file>', got '" + std::string(v) + "'");
     }
     config.trace_path = std::string(file.substr(1));
-    std::size_t pos = comma == std::string_view::npos ? body.size() + 1
-                                                      : comma + 1;
-    while (pos <= body.size()) {
-      const std::size_t next = std::min(body.find(',', pos), body.size());
-      const std::string_view pair = body.substr(pos, next - pos);
-      pos = next + 1;
-      if (pair.empty()) continue;
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        throw std::invalid_argument(
-            "--arrivals trace: expected key=value, got '" + std::string(pair) +
-            "'");
-      }
-      const std::string_view k = pair.substr(0, eq);
-      const std::string_view val = pair.substr(eq + 1);
+    const std::string_view keys =
+        comma == std::string_view::npos ? "" : body.substr(comma + 1);
+    for (const auto& [k, val] : spec::key_values(keys, ctx)) {
       if (k == "rate-scale") {
-        config.replay.rate_scale = parse_nonnegative("--arrivals rate-scale", val);
+        config.replay.rate_scale = parse_nonnegative(k, val, ctx);
       } else if (k == "time-scale") {
-        config.replay.time_scale = parse_number("--arrivals time-scale", val);
+        config.replay.time_scale = spec::number(val, k, ctx);
         if (config.replay.time_scale <= 0.0) {
-          throw std::invalid_argument("--arrivals time-scale must be positive");
+          ctx.fail("time-scale must be positive");
         }
       } else {
-        throw std::invalid_argument("--arrivals trace: unknown key '" +
-                                    std::string(k) +
-                                    "' (rate-scale|time-scale)");
+        ctx.fail("unknown key '" + std::string(k) +
+                 "' (rate-scale|time-scale)");
       }
     }
     config.trace = std::make_shared<const trace::WorkloadTrace>(
@@ -433,7 +362,7 @@ CliOptions parse_cli(std::span<const char* const> args) {
       }
       opts.scenario.engine = *engine;
     } else if (key == "--jobs") {
-      opts.jobs = static_cast<unsigned>(parse_unsigned(key, value));
+      opts.jobs = static_cast<unsigned>(spec::count(value, key));
     } else if (key == "--sweep-out") {
       opts.sweep_out = std::string(value);
     } else if (key == "--load") {
@@ -445,7 +374,7 @@ CliOptions parse_cli(std::span<const char* const> args) {
     } else if (key == "--warmup-ms") {
       opts.scenario.warmup_ms = parse_nonnegative(key, value);
     } else if (key == "--nodes") {
-      opts.scenario.nodes = static_cast<std::size_t>(parse_unsigned(key, value));
+      opts.scenario.nodes = spec::count(value, key);
       if (opts.scenario.nodes == 0) {
         throw std::invalid_argument("--nodes must be positive");
       }
@@ -454,18 +383,17 @@ CliOptions parse_cli(std::span<const char* const> args) {
     } else if (key == "--arrivals") {
       opts.scenario.arrivals = parse_arrivals(value);
     } else if (key == "--k") {
-      opts.scenario.esg.k = static_cast<std::size_t>(parse_unsigned(key, value));
+      opts.scenario.esg.k = spec::count(value, key);
     } else if (key == "--group-size") {
-      opts.scenario.esg.max_group_size =
-          static_cast<std::size_t>(parse_unsigned(key, value));
+      opts.scenario.esg.max_group_size = spec::count(value, key);
     } else if (key == "--gpu-sharing") {
-      opts.scenario.controller.enable_gpu_sharing = parse_bool(key, value);
+      opts.scenario.controller.enable_gpu_sharing = spec::on_off(value, key);
     } else if (key == "--batching") {
-      opts.scenario.controller.enable_batching = parse_bool(key, value);
+      opts.scenario.controller.enable_batching = spec::on_off(value, key);
     } else if (key == "--prewarm") {
-      opts.scenario.controller.enable_prewarm = parse_bool(key, value);
+      opts.scenario.controller.enable_prewarm = spec::on_off(value, key);
     } else if (key == "--noise-cv") {
-      opts.scenario.controller.noise_cv = parse_number(key, value);
+      opts.scenario.controller.noise_cv = spec::number(value, key);
     } else if (key == "--csv-dir") {
       opts.csv_dir = std::string(value);
     } else if (key == "--trace-out") {
@@ -477,7 +405,7 @@ CliOptions parse_cli(std::span<const char* const> args) {
     } else if (key == "--perf-out") {
       opts.scenario.trace.perf_path = std::string(value);
     } else if (key == "--stats-interval-ms") {
-      opts.scenario.trace.stats_interval_ms = parse_number(key, value);
+      opts.scenario.trace.stats_interval_ms = spec::number(value, key);
       if (opts.scenario.trace.stats_interval_ms <= 0.0) {
         throw std::invalid_argument("--stats-interval-ms must be positive");
       }

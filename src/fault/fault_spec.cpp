@@ -1,137 +1,69 @@
 #include "fault/fault_spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
+#include "common/spec.hpp"
 
 namespace esg::fault {
 
 namespace {
 
-[[noreturn]] void bad_clause(std::string_view clause, const std::string& why) {
-  throw std::invalid_argument("fault-spec clause '" + std::string(clause) +
-                              "': " + why);
-}
+using spec::fmt;
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
-double parse_double(std::string_view clause, std::string_view key,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    bad_clause(clause, "malformed number for '" + std::string(key) + "': '" +
-                           std::string(v) + "'");
-  }
-  return out;
-}
-
-/// Key/value map of one clause body; duplicate keys are rejected.
-std::map<std::string, std::string, std::less<>> parse_kv(
-    std::string_view clause, std::string_view body) {
-  std::map<std::string, std::string, std::less<>> kv;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = std::min(body.find(',', pos), body.size());
-    const std::string_view pair = trim(body.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 == pair.size()) {
-      bad_clause(clause, "expected key=value, got '" + std::string(pair) + "'");
-    }
-    const auto [_, inserted] = kv.emplace(trim(pair.substr(0, eq)),
-                                          trim(pair.substr(eq + 1)));
-    if (!inserted) {
-      bad_clause(clause, "duplicate key '" + std::string(trim(pair.substr(0, eq))) + "'");
-    }
-  }
-  return kv;
-}
-
-/// Pops `key` from the map as a number; `required` keys must be present.
-std::optional<double> take(std::map<std::string, std::string, std::less<>>& kv,
-                           std::string_view clause, std::string_view key,
-                           bool required) {
-  auto it = kv.find(key);
-  if (it == kv.end()) {
-    if (required) bad_clause(clause, "missing key '" + std::string(key) + "'");
-    return std::nullopt;
-  }
-  const double v = parse_double(clause, key, it->second);
+/// Pops `key`'s value from the clause's pairs; the key must be present.
+std::string_view take(spec::KeyValues& kv, const spec::Context& ctx,
+                      std::string_view key) {
+  const auto it = kv.find(key);
+  if (it == kv.end()) ctx.fail("missing key '" + std::string(key) + "'");
+  const std::string_view v = it->second;
   kv.erase(it);
   return v;
 }
 
-void reject_leftovers(
-    const std::map<std::string, std::string, std::less<>>& kv,
-    std::string_view clause) {
-  if (!kv.empty()) {
-    bad_clause(clause, "unknown key '" + kv.begin()->first + "'");
-  }
+double number(spec::KeyValues& kv, const spec::Context& ctx,
+              std::string_view key) {
+  return spec::number(take(kv, ctx, key), key, ctx);
 }
 
-TimeMs nonneg_time(std::string_view clause, std::string_view key, double v) {
-  if (v < 0.0) bad_clause(clause, std::string(key) + " must be >= 0");
+TimeMs time_ms(spec::KeyValues& kv, const spec::Context& ctx,
+               std::string_view key) {
+  const double v = number(kv, ctx, key);
+  if (v < 0.0) ctx.fail(std::string(key) + " must be >= 0");
   return v;
 }
 
-double probability(std::string_view clause, double v) {
-  if (v < 0.0 || v > 1.0) bad_clause(clause, "prob must be in [0, 1]");
+std::uint32_t id(spec::KeyValues& kv, const spec::Context& ctx,
+                 std::string_view key) {
+  return static_cast<std::uint32_t>(spec::count(take(kv, ctx, key), key, ctx));
+}
+
+double probability(spec::KeyValues& kv, const spec::Context& ctx) {
+  const double v = number(kv, ctx, "prob");
+  if (v < 0.0 || v > 1.0) ctx.fail("prob must be in [0, 1]");
   return v;
 }
 
-std::uint32_t id_value(std::string_view clause, std::string_view key, double v) {
-  if (v < 0.0 || v != std::floor(v) || v >= 4294967295.0) {
-    bad_clause(clause, std::string(key) + " must be a small non-negative integer");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::string fmt_ms(TimeMs v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-/// Source line (1-based) of each crash clause, for overlap diagnostics.
-struct ParseContext {
-  std::vector<std::size_t> crash_lines;
-};
-
-void parse_clause(FaultSpec& spec, std::string_view clause,
-                  std::size_t line, ParseContext& ctx) {
-  const std::size_t colon = clause.find(':');
+/// Parses one clause; `crash_lines` collects each crash clause's source line
+/// for the overlap diagnostics.
+void parse_clause(FaultSpec& spec, const spec::Clause& clause,
+                  std::vector<std::size_t>& crash_lines) {
+  const spec::Context ctx{"fault-spec clause", clause.text};
+  const std::size_t colon = clause.text.find(':');
   if (colon == std::string_view::npos) {
-    bad_clause(clause, "expected kind:key=value,...");
+    ctx.fail("expected kind:key=value,...");
   }
-  const std::string_view kind = trim(clause.substr(0, colon));
-  auto kv = parse_kv(clause, clause.substr(colon + 1));
+  const std::string_view kind = spec::trim(clause.text.substr(0, colon));
+  auto kv = spec::key_values(clause.text.substr(colon + 1), ctx);
 
   if (kind == "crash") {
     CrashWindow c;
-    c.invoker = InvokerId(id_value(clause, "invoker", *take(kv, clause, "invoker", true)));
-    c.at_ms = nonneg_time(clause, "at", *take(kv, clause, "at", true));
-    c.down_ms = nonneg_time(clause, "down", *take(kv, clause, "down", true));
-    reject_leftovers(kv, clause);
+    c.invoker = InvokerId(id(kv, ctx, "invoker"));
+    c.at_ms = time_ms(kv, ctx, "at");
+    c.down_ms = time_ms(kv, ctx, "down");
     spec.crashes.push_back(c);
-    ctx.crash_lines.push_back(line);
+    crash_lines.push_back(clause.line);
   } else if (kind == "dispatch" || kind == "coldstart") {
-    const double prob = probability(clause, *take(kv, clause, "prob", true));
+    const double prob = probability(kv, ctx);
     std::optional<FunctionId> function;
-    if (const auto fn = take(kv, clause, "function", false)) {
-      function = FunctionId(id_value(clause, "function", *fn));
-    }
-    reject_leftovers(kv, clause);
+    if (kv.contains("function")) function = FunctionId(id(kv, ctx, "function"));
     if (kind == "dispatch") {
       spec.dispatch.push_back(DispatchFault{prob, function});
     } else {
@@ -139,26 +71,25 @@ void parse_clause(FaultSpec& spec, std::string_view clause,
     }
   } else if (kind == "slow") {
     SlowdownWindow w;
-    w.invoker = InvokerId(id_value(clause, "invoker", *take(kv, clause, "invoker", true)));
-    w.at_ms = nonneg_time(clause, "at", *take(kv, clause, "at", true));
-    w.duration_ms = nonneg_time(clause, "for", *take(kv, clause, "for", true));
-    w.factor = *take(kv, clause, "factor", true);
-    if (w.factor < 1.0) bad_clause(clause, "factor must be >= 1");
-    reject_leftovers(kv, clause);
+    w.invoker = InvokerId(id(kv, ctx, "invoker"));
+    w.at_ms = time_ms(kv, ctx, "at");
+    w.duration_ms = time_ms(kv, ctx, "for");
+    w.factor = number(kv, ctx, "factor");
+    if (w.factor < 1.0) ctx.fail("factor must be >= 1");
     spec.slowdowns.push_back(w);
   } else if (kind == "spot") {
     SpotReclamation s;
-    s.at_ms = nonneg_time(clause, "at", *take(kv, clause, "at", true));
-    s.nodes = id_value(clause, "nodes", *take(kv, clause, "nodes", true));
-    if (s.nodes == 0) bad_clause(clause, "nodes must be >= 1");
-    if (const auto warn = take(kv, clause, "warn", false)) {
-      s.warn_ms = nonneg_time(clause, "warn", *warn);
-    }
-    reject_leftovers(kv, clause);
+    s.at_ms = time_ms(kv, ctx, "at");
+    s.nodes = id(kv, ctx, "nodes");
+    if (s.nodes == 0) ctx.fail("nodes must be >= 1");
+    if (kv.contains("warn")) s.warn_ms = time_ms(kv, ctx, "warn");
     spec.spot.push_back(s);
   } else {
-    bad_clause(clause, "unknown kind '" + std::string(kind) +
-                           "' (crash|dispatch|coldstart|slow|spot)");
+    ctx.fail("unknown kind '" + std::string(kind) +
+             "' (crash|dispatch|coldstart|slow|spot)");
+  }
+  if (!kv.empty()) {
+    ctx.fail("unknown key '" + std::string(kv.begin()->first) + "'");
   }
 }
 
@@ -168,20 +99,19 @@ void parse_clause(FaultSpec& spec, std::string_view clause,
 /// Back-to-back windows (one ending exactly where the next starts) are
 /// fine — the rejoin event is scheduled before the next crash.
 void reject_overlapping_crashes(const FaultSpec& spec,
-                                const ParseContext& ctx) {
+                                const std::vector<std::size_t>& crash_lines) {
   for (std::size_t i = 0; i < spec.crashes.size(); ++i) {
     for (std::size_t j = i + 1; j < spec.crashes.size(); ++j) {
       const CrashWindow& a = spec.crashes[i];
       const CrashWindow& b = spec.crashes[j];
       if (a.invoker != b.invoker) continue;
       if (a.at_ms + a.down_ms > b.at_ms && b.at_ms + b.down_ms > a.at_ms) {
-        throw std::invalid_argument(
-            "fault-spec line " + std::to_string(ctx.crash_lines[j]) +
-            ": crash window on invoker " + std::to_string(b.invoker.get()) +
-            " [" + fmt_ms(b.at_ms) + ", " + fmt_ms(b.at_ms + b.down_ms) +
+        spec::Context{"fault-spec", {}, crash_lines[j]}.fail(
+            "crash window on invoker " + std::to_string(b.invoker.get()) +
+            " [" + fmt(b.at_ms) + ", " + fmt(b.at_ms + b.down_ms) +
             ") overlaps the window at line " +
-            std::to_string(ctx.crash_lines[i]) + " [" + fmt_ms(a.at_ms) +
-            ", " + fmt_ms(a.at_ms + a.down_ms) + ")");
+            std::to_string(crash_lines[i]) + " [" + fmt(a.at_ms) + ", " +
+            fmt(a.at_ms + a.down_ms) + ")");
       }
     }
   }
@@ -208,33 +138,16 @@ bool FaultSpec::inert() const {
 
 FaultSpec parse_fault_spec(std::string_view text) {
   FaultSpec spec;
-  ParseContext ctx;
-  std::size_t pos = 0;
-  std::size_t line = 1;
-  while (pos <= text.size()) {
-    const std::size_t sep = std::min(text.find_first_of(";\n", pos), text.size());
-    const std::string_view clause = trim(text.substr(pos, sep - pos));
-    const bool newline = sep < text.size() && text[sep] == '\n';
-    pos = sep + 1;
-    if (!clause.empty() && clause.front() != '#') {
-      parse_clause(spec, clause, line, ctx);
-    }
-    if (newline) ++line;
+  std::vector<std::size_t> crash_lines;
+  for (const spec::Clause& clause : spec::clauses(text)) {
+    parse_clause(spec, clause, crash_lines);
   }
-  reject_overlapping_crashes(spec, ctx);
+  reject_overlapping_crashes(spec, crash_lines);
   return spec;
 }
 
 FaultSpec load_fault_spec(std::string_view arg) {
-  if (arg.empty() || arg.front() != '@') return parse_fault_spec(arg);
-  const std::string path(arg.substr(1));
-  std::ifstream file(path);
-  if (!file) {
-    throw std::invalid_argument("fault-spec file '" + path + "' is unreadable");
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_fault_spec(text.str());
+  return parse_fault_spec(spec::resolve(arg, "fault-spec"));
 }
 
 std::string to_string(const FaultSpec& spec) {
@@ -245,27 +158,27 @@ std::string to_string(const FaultSpec& spec) {
   };
   for (const auto& c : spec.crashes) {
     clause("crash:invoker=" + std::to_string(c.invoker.get()) +
-           ",at=" + fmt_ms(c.at_ms) + ",down=" + fmt_ms(c.down_ms));
+           ",at=" + fmt(c.at_ms) + ",down=" + fmt(c.down_ms));
   }
   for (const auto& d : spec.dispatch) {
-    std::string s = "dispatch:prob=" + fmt_ms(d.prob);
+    std::string s = "dispatch:prob=" + fmt(d.prob);
     if (d.function) s += ",function=" + std::to_string(d.function->get());
     clause(s);
   }
   for (const auto& c : spec.cold_start) {
-    std::string s = "coldstart:prob=" + fmt_ms(c.prob);
+    std::string s = "coldstart:prob=" + fmt(c.prob);
     if (c.function) s += ",function=" + std::to_string(c.function->get());
     clause(s);
   }
   for (const auto& w : spec.slowdowns) {
     clause("slow:invoker=" + std::to_string(w.invoker.get()) +
-           ",at=" + fmt_ms(w.at_ms) + ",for=" + fmt_ms(w.duration_ms) +
-           ",factor=" + fmt_ms(w.factor));
+           ",at=" + fmt(w.at_ms) + ",for=" + fmt(w.duration_ms) +
+           ",factor=" + fmt(w.factor));
   }
   for (const auto& s : spec.spot) {
-    std::string str = "spot:at=" + fmt_ms(s.at_ms) +
+    std::string str = "spot:at=" + fmt(s.at_ms) +
                       ",nodes=" + std::to_string(s.nodes);
-    if (s.warn_ms > 0.0) str += ",warn=" + fmt_ms(s.warn_ms);
+    if (s.warn_ms > 0.0) str += ",warn=" + fmt(s.warn_ms);
     clause(str);
   }
   return out;

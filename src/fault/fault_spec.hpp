@@ -1,8 +1,9 @@
 // Declarative fault specification (DESIGN.md §9).
 //
 // A FaultSpec describes every fault a run injects, parsed from the
-// `--fault-spec` CLI string (or `@file`). The grammar is a `;`- or
-// newline-separated list of clauses, each `kind:key=value,key=value`:
+// `--fault-spec` CLI string (or `@file`). Separators, comments, numbers,
+// duplicate keys and errors follow the shared spec grammar (DESIGN.md §5,
+// "Spec grammar"). Each clause is `kind:key=value,key=value`:
 //
 //   crash:invoker=3,at=2000,down=1500      node 3 dies at t=2000ms and
 //                                          rejoins (empty) 1500ms later
@@ -22,9 +23,7 @@
 //                                          are reclaimed (in-flight work
 //                                          killed, node retired) at t=2500ms
 //
-// Lines starting with '#' are comments (file form). Probabilities must be
-// finite in [0, 1], times finite and non-negative, factors finite and >= 1;
-// violations throw std::invalid_argument naming the clause. Two crash
+// Probabilities must be in [0, 1], times non-negative, factors >= 1. Two crash
 // windows on the same invoker must not overlap (a rejoin firing inside
 // another open window would corrupt the node's alive state) — overlaps are
 // rejected at parse time with an error naming both clause lines. A spec

@@ -1,82 +1,12 @@
 #include "forecast/forecast_spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <stdexcept>
 #include <vector>
+
+#include "common/spec.hpp"
 
 namespace esg::forecast {
 
-namespace {
-
-[[noreturn]] void bad_spec(std::string_view clause, const std::string& why) {
-  throw std::invalid_argument("forecast spec '" + std::string(clause) +
-                              "': " + why);
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
-double parse_double(std::string_view clause, std::string_view key,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    bad_spec(clause, "malformed number for '" + std::string(key) + "': '" +
-                         std::string(v) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_count(std::string_view clause, std::string_view key,
-                        std::string_view v) {
-  const double d = parse_double(clause, key, v);
-  if (d < 0.0 || d != std::floor(d) || d >= 4294967295.0) {
-    bad_spec(clause,
-             std::string(key) + " must be a small non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-/// Splits `body` on `sep` into trimmed non-empty key=value pairs, rejecting
-/// duplicates. Used for both the predictor parameters and the shared tail.
-std::map<std::string, std::string, std::less<>> parse_kv(
-    std::string_view clause, std::string_view body, char sep) {
-  std::map<std::string, std::string, std::less<>> kv;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t cut = std::min(body.find(sep, pos), body.size());
-    const std::string_view pair = trim(body.substr(pos, cut - pos));
-    pos = cut + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 == pair.size()) {
-      bad_spec(clause, "expected key=value, got '" + std::string(pair) + "'");
-    }
-    const auto [_, inserted] =
-        kv.emplace(trim(pair.substr(0, eq)), trim(pair.substr(eq + 1)));
-    if (!inserted) {
-      bad_spec(clause,
-               "duplicate key '" + std::string(trim(pair.substr(0, eq))) + "'");
-    }
-  }
-  return kv;
-}
-
-}  // namespace
+using spec::fmt;
 
 std::string_view to_string(ForecastKind kind) {
   switch (kind) {
@@ -95,17 +25,18 @@ std::string_view to_string(ForecastKind kind) {
 }
 
 ForecastSpec parse_forecast_spec(std::string_view text) {
-  const std::string_view full = trim(text);
   ForecastSpec spec;
-  if (full.empty() || full == "none") return spec;
+  const std::vector<spec::Clause> clauses = spec::clauses(text);
+  if (clauses.empty() || (clauses.size() == 1 && clauses[0].text == "none")) {
+    return spec;
+  }
 
-  // First `;` clause names the predictor; the rest are shared keys.
-  const std::size_t semi = full.find(';');
-  const std::string_view head =
-      trim(semi == std::string_view::npos ? full : full.substr(0, semi));
+  // The first clause names the predictor; the rest carry shared keys.
+  const std::string whole = spec::join(clauses);
+  const spec::Context ctx{"forecast spec", whole};
+  const std::string_view head = clauses[0].text;
   const std::size_t colon = head.find(':');
-  const std::string_view name =
-      trim(colon == std::string_view::npos ? head : head.substr(0, colon));
+  const std::string_view name = spec::trim(head.substr(0, colon));
   if (name == "oracle") {
     spec.kind = ForecastKind::kOracle;
   } else if (name == "last-bin") {
@@ -115,64 +46,52 @@ ForecastSpec parse_forecast_spec(std::string_view text) {
   } else if (name == "seasonal") {
     spec.kind = ForecastKind::kSeasonal;
   } else {
-    bad_spec(full, "unknown predictor '" + std::string(name) +
-                       "' (oracle|last-bin|ewma|seasonal|none)");
+    ctx.fail("unknown predictor '" + std::string(name) +
+             "' (oracle|last-bin|ewma|seasonal|none)");
   }
 
-  if (colon != std::string_view::npos) {
-    for (const auto& [key, value] : parse_kv(full, head.substr(colon + 1), ',')) {
-      if (key == "alpha" && spec.kind == ForecastKind::kEwma) {
-        spec.ewma_alpha = parse_double(full, key, value);
-        if (spec.ewma_alpha <= 0.0 || spec.ewma_alpha > 1.0) {
-          bad_spec(full, "alpha must be in (0, 1]");
-        }
-      } else if (key == "period-ms" && spec.kind == ForecastKind::kSeasonal) {
-        spec.seasonal_period_ms = parse_double(full, key, value);
-        if (spec.seasonal_period_ms <= 0.0) {
-          bad_spec(full, "period-ms must be > 0");
-        }
-      } else if (key == "bins" && spec.kind == ForecastKind::kSeasonal) {
-        spec.seasonal_bins = parse_count(full, key, value);
-        if (spec.seasonal_bins == 0 || spec.seasonal_bins > (1u << 20)) {
-          bad_spec(full, "bins must be in [1, 2^20]");
-        }
-      } else {
-        bad_spec(full, "unknown key '" + key + "' for predictor '" +
-                           std::string(name) + "'");
+  const std::string_view params =
+      colon == std::string_view::npos ? "" : head.substr(colon + 1);
+  for (const auto& [key, value] : spec::key_values(params, ctx)) {
+    if (key == "alpha" && spec.kind == ForecastKind::kEwma) {
+      spec.ewma_alpha = spec::number(value, key, ctx);
+      if (spec.ewma_alpha <= 0.0 || spec.ewma_alpha > 1.0) {
+        ctx.fail("alpha must be in (0, 1]");
       }
+    } else if (key == "period-ms" && spec.kind == ForecastKind::kSeasonal) {
+      spec.seasonal_period_ms = spec::number(value, key, ctx);
+      if (spec.seasonal_period_ms <= 0.0) ctx.fail("period-ms must be > 0");
+    } else if (key == "bins" && spec.kind == ForecastKind::kSeasonal) {
+      spec.seasonal_bins = spec::count(value, key, ctx);
+      if (spec.seasonal_bins == 0 || spec.seasonal_bins > (1u << 20)) {
+        ctx.fail("bins must be in [1, 2^20]");
+      }
+    } else {
+      ctx.fail("unknown key '" + std::string(key) + "' for predictor '" +
+               std::string(name) + "'");
     }
   }
 
-  if (semi != std::string_view::npos) {
-    for (const auto& [key, value] : parse_kv(full, full.substr(semi + 1), ',')) {
-      if (key == "lead-ms") {
-        spec.lead_ms = parse_double(full, key, value);
-        if (spec.lead_ms < 0.0) bad_spec(full, "lead-ms must be >= 0");
-      } else if (key == "bin-ms") {
-        spec.bin_ms = parse_double(full, key, value);
-        if (spec.bin_ms <= 0.0) bad_spec(full, "bin-ms must be > 0");
-      } else {
-        bad_spec(full, "unknown key '" + key + "'");
-      }
+  spec::KeyValues shared;
+  for (std::size_t i = 1; i < clauses.size(); ++i) {
+    shared = spec::key_values(clauses[i].text, ctx, std::move(shared));
+  }
+  for (const auto& [key, value] : shared) {
+    if (key == "lead-ms") {
+      spec.lead_ms = spec::number(value, key, ctx);
+      if (spec.lead_ms < 0.0) ctx.fail("lead-ms must be >= 0");
+    } else if (key == "bin-ms") {
+      spec.bin_ms = spec::number(value, key, ctx);
+      if (spec.bin_ms <= 0.0) ctx.fail("bin-ms must be > 0");
+    } else {
+      ctx.fail("unknown key '" + std::string(key) + "'");
     }
   }
   return spec;
 }
 
 ForecastSpec load_forecast_spec(std::string_view arg) {
-  if (arg.empty() || arg.front() != '@') return parse_forecast_spec(arg);
-  const std::string path(arg.substr(1));
-  std::ifstream in(path);
-  if (!in) {
-    throw std::invalid_argument("forecast spec file '" + path +
-                                "' is unreadable");
-  }
-  std::string text, line;
-  while (std::getline(in, line)) {
-    if (!text.empty()) text += ';';
-    text += line;
-  }
-  return parse_forecast_spec(text);
+  return parse_forecast_spec(spec::resolve(arg, "forecast spec"));
 }
 
 std::string to_string(const ForecastSpec& spec) {

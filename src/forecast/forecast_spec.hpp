@@ -3,17 +3,15 @@
 //   --forecast "oracle|last-bin|ewma[:alpha=A]|seasonal[:period-ms=P,bins=B]
 //               [;lead-ms=L[,bin-ms=W]]"
 //
-// The first `;`-separated clause names the predictor (with optional
-// `key=value` parameters after a colon); later clauses carry keys shared by
-// every predictor: `lead-ms` (how far ahead consumers act on a forecast) and
+// The first clause names the predictor (with optional `key=value`
+// parameters after a colon); later clauses carry keys shared by every
+// predictor: `lead-ms` (how far ahead consumers act on a forecast) and
 // `bin-ms` (the width of the observation bins online predictors learn from).
 // `none` (or an empty string) is the inert spec: nothing is constructed and
-// the run is byte-identical to a build without the flag. Like every other
-// spec surface the grammar is hardened: numbers go through std::from_chars,
-// NaN/inf/negative values, duplicate keys, parameters on the wrong predictor
-// and unknown keys all raise std::invalid_argument with the offending clause
-// in the message. `@file` indirection reads the spec from a file (newlines
-// become `;`).
+// the run is byte-identical to a build without the flag. Separators,
+// comments, numbers, duplicate keys, `@file` and errors follow the shared
+// spec grammar (DESIGN.md §5, "Spec grammar"); parameters on the wrong
+// predictor and negative values are rejected too.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +55,7 @@ struct ForecastSpec {
 [[nodiscard]] ForecastSpec parse_forecast_spec(std::string_view text);
 
 /// parse_forecast_spec with `@file` indirection: an argument starting with
-/// '@' names a file whose contents (newlines folded to ';') are parsed.
+/// '@' names a file whose contents are parsed.
 [[nodiscard]] ForecastSpec load_forecast_spec(std::string_view arg);
 
 /// Canonical round-trippable rendering (parse(to_string(s)) == s).

@@ -3,11 +3,11 @@
 // A TenantSpec names the principals sharing the cluster, their fair-queueing
 // weights, the charge metric each tenant's service is accounted in (time,
 // energy, or a hybrid blend — following ETF), and an optional static
-// app→tenant mapping. Parsed from `--tenants` (inline or `@file`) with the
-// same hardening contract as FaultSpec/ElasticSpec: every malformed clause is
-// rejected at parse time with a precise std::invalid_argument.
+// app→tenant mapping. Parsed from `--tenants` (inline or `@file`);
+// separators, comments, numbers and errors follow the shared spec grammar
+// (DESIGN.md §5, "Spec grammar").
 //
-// Grammar (clauses separated by ';'):
+// Clauses:
 //
 //   <name>:<weight>[:<mode>][:apps=<id>,<id>,...]   declare one tenant
 //   throttle=<ms>                                   MQFQ throttle threshold T

@@ -1,6 +1,5 @@
 #include "trace/workload_trace.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,55 +9,28 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/spec.hpp"
+
 namespace esg::trace {
 
 namespace {
 
-[[noreturn]] void fail_line(std::size_t line_no, const std::string& why) {
-  throw std::invalid_argument("workload-trace line " + std::to_string(line_no) +
-                              ": " + why);
+spec::Context at_line(std::size_t line_no) {
+  return spec::Context{"workload-trace", {}, line_no};
 }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
-                        s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() &&
-         (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
+[[noreturn]] void fail_line(std::size_t line_no, const std::string& why) {
+  at_line(line_no).fail(why);
 }
 
 double parse_double(std::size_t line_no, std::string_view what,
                     std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  // from_chars accepts "nan"/"inf"; a trace with either is corrupt, and NaN
-  // in particular would defeat every downstream range check.
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    fail_line(line_no, "malformed number for " + std::string(what) + ": '" +
-                           std::string(v) + "'");
-  }
-  return out;
+  return spec::number(v, what, at_line(line_no));
 }
 
 std::size_t parse_index(std::size_t line_no, std::string_view what,
                         std::string_view v, std::size_t max_exclusive) {
-  const double d = parse_double(line_no, what, v);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail_line(line_no,
-              std::string(what) + " must be a non-negative integer, got '" +
-                  std::string(v) + "'");
-  }
-  if (d >= static_cast<double>(max_exclusive)) {
-    fail_line(line_no, std::string(what) + " " + std::string(v) +
-                           " out of range (< " +
-                           std::to_string(max_exclusive) + ")");
-  }
-  return static_cast<std::size_t>(d);
+  return spec::count(v, what, at_line(line_no), max_exclusive);
 }
 
 /// Appends a data row, enforcing (bin, app, tenant) strictly-increasing
@@ -99,10 +71,10 @@ std::size_t split_csv(std::string_view line, std::string_view* fields,
   while (n < max_fields) {
     const std::size_t comma = line.find(',', pos);
     if (comma == std::string_view::npos) {
-      fields[n++] = trim(line.substr(pos));
+      fields[n++] = spec::trim(line.substr(pos));
       return n;
     }
-    fields[n++] = trim(line.substr(pos, comma - pos));
+    fields[n++] = spec::trim(line.substr(pos, comma - pos));
     pos = comma + 1;
   }
   return max_fields + 1;  // too many fields
@@ -112,11 +84,11 @@ std::size_t split_csv(std::string_view line, std::string_view* fields,
 std::string_view keyed(std::size_t line_no, std::string_view field,
                        std::string_view key) {
   const std::size_t eq = field.find('=');
-  if (eq == std::string_view::npos || trim(field.substr(0, eq)) != key) {
+  if (eq == std::string_view::npos || spec::trim(field.substr(0, eq)) != key) {
     fail_line(line_no, "expected '" + std::string(key) + "=<value>', got '" +
                            std::string(field) + "'");
   }
-  return trim(field.substr(eq + 1));
+  return spec::trim(field.substr(eq + 1));
 }
 
 void parse_csv_header(WorkloadTrace& trace, std::size_t line_no,
@@ -329,7 +301,7 @@ WorkloadTrace parse_trace_csv(std::istream& in) {
   std::size_t line_no = 0;
   while (std::getline(in, raw)) {
     ++line_no;
-    const std::string_view line = trim(raw);
+    const std::string_view line = spec::trim(raw);
     if (line.empty() || line.front() == '#') continue;
     if (!saw_header) {
       parse_csv_header(trace, line_no, line);
@@ -367,7 +339,7 @@ WorkloadTrace parse_trace_jsonl(std::istream& in) {
   std::size_t line_no = 0;
   while (std::getline(in, raw)) {
     ++line_no;
-    const std::string_view line = trim(raw);
+    const std::string_view line = spec::trim(raw);
     if (line.empty() || line.front() == '#') continue;
     const std::vector<JsonField> fields = parse_flat_object(line_no, line);
     if (!saw_header) {

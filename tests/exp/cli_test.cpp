@@ -245,6 +245,9 @@ TEST(Cli, RejectsMalformedBurstyArrivals) {
   EXPECT_THROW(parse({"--arrivals", "bursty:wave=big"}), std::invalid_argument);
   EXPECT_THROW(parse({"--arrivals", "bursty:calm-ms=0"}),
                std::invalid_argument);
+  // A repeated key is an error, not "last value wins".
+  EXPECT_THROW(parse({"--arrivals", "bursty:calm-ms=100,calm-ms=200"}),
+               std::invalid_argument);
 }
 
 /// Writes a tiny valid trace to a temp path and removes it on destruction.
@@ -291,6 +294,9 @@ TEST(Cli, RejectsMalformedTraceArrivals) {
   EXPECT_THROW(
       parse({"--arrivals", ("trace:@" + trace.path + ",warp=9").c_str()}),
       std::invalid_argument);
+  EXPECT_THROW(parse({"--arrivals", ("trace:@" + trace.path +
+                                     ",rate-scale=1,rate-scale=2").c_str()}),
+               std::invalid_argument);
   EXPECT_THROW(parse({"--arrivals", "stochastic"}), std::invalid_argument);
   EXPECT_NE(cli_usage().find("--arrivals"), std::string::npos);
 }

@@ -32,6 +32,14 @@ TEST(CrashWindow, OverlappingWindowsOnSameInvokerAreRejected) {
   EXPECT_NE(err.find("line 2"), std::string::npos) << err;
   EXPECT_NE(err.find("line 1"), std::string::npos) << err;
   EXPECT_NE(err.find("invoker 2"), std::string::npos) << err;
+
+  // Comment and blank lines still count, CRLF line ends included, so the
+  // cited lines are the file's real ones.
+  const std::string file_err = error_of(
+      "# two windows\r\n\r\ncrash:invoker=1,at=0,down=100\r\n"
+      "# the second one overlaps\r\ncrash:invoker=1,at=50,down=10\r\n");
+  EXPECT_NE(file_err.find("fault-spec line 5"), std::string::npos) << file_err;
+  EXPECT_NE(file_err.find("at line 3"), std::string::npos) << file_err;
 }
 
 TEST(CrashWindow, ContainedAndIdenticalWindowsAreRejected) {

@@ -109,13 +109,19 @@ TEST(FaultSpec, LoadInlineOrFromFile) {
 
   const std::string path =
       ::testing::TempDir() + "/fault_spec_test_input.txt";
-  {
-    std::ofstream out(path);
-    out << "# resilience scenario\ncrash:invoker=2,at=100,down=50\n";
+  // LF and CRLF files read the same; the hidden '\r' is not part of a value.
+  for (const char* text :
+       {"# resilience scenario\ncrash:invoker=2,at=100,down=50\n",
+        "# resilience scenario\r\ncrash:invoker=2,at=100,down=50\r\n"}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    const FaultSpec from_file = load_fault_spec("@" + path);
+    ASSERT_EQ(from_file.crashes.size(), 1u) << text;
+    EXPECT_EQ(from_file.crashes[0].invoker, InvokerId(2));
+    EXPECT_DOUBLE_EQ(from_file.crashes[0].down_ms, 50.0);
   }
-  const FaultSpec from_file = load_fault_spec("@" + path);
-  ASSERT_EQ(from_file.crashes.size(), 1u);
-  EXPECT_EQ(from_file.crashes[0].invoker, InvokerId(2));
   std::remove(path.c_str());
 
   EXPECT_THROW(load_fault_spec("@/no/such/fault/spec/file"),

@@ -46,6 +46,11 @@ TEST(ForecastSpec, ParsesParametersAndSharedTail) {
   EXPECT_DOUBLE_EQ(spec.bin_ms, 500.0);
   EXPECT_DOUBLE_EQ(parse_forecast_spec("ewma:alpha=0.75").ewma_alpha, 0.75);
   EXPECT_DOUBLE_EQ(parse_forecast_spec("oracle;lead-ms=0").lead_ms, 0.0);
+  // Shared keys may also sit in separate clauses, as --help shows them.
+  const ForecastSpec split =
+      parse_forecast_spec("oracle;lead-ms=1500;bin-ms=500");
+  EXPECT_DOUBLE_EQ(split.lead_ms, 1'500.0);
+  EXPECT_DOUBLE_EQ(split.bin_ms, 500.0);
 }
 
 TEST(ForecastSpec, WhitespaceAroundClausesIsIgnored) {
@@ -97,6 +102,7 @@ TEST(ForecastSpec, RejectsMalformedSpecs) {
       "oracle;bin-ms=0",             // non-positive bin
       "oracle;cadence-ms=5",         // unknown shared key
       "oracle;lead-ms=5,lead-ms=6",  // duplicate shared key
+      "oracle;lead-ms=5;lead-ms=6",  // ... across clauses too
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)parse_forecast_spec(text), std::invalid_argument)
@@ -106,14 +112,20 @@ TEST(ForecastSpec, RejectsMalformedSpecs) {
 
 TEST(ForecastSpec, FileIndirectionFoldsNewlines) {
   const std::string path = ::testing::TempDir() + "/forecast_spec.txt";
-  {
-    std::ofstream out(path);
-    out << "ewma:alpha=0.6\nlead-ms=750\n";
+  // Plain LF, CRLF, and a file with blank and '#' comment lines all read
+  // the same.
+  for (const char* text :
+       {"ewma:alpha=0.6\nlead-ms=750\n", "ewma:alpha=0.6\r\nlead-ms=750\r\n",
+        "# comment\newma:alpha=0.6\n\n# shared keys\nlead-ms=750\n"}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    const ForecastSpec spec = load_forecast_spec("@" + path);
+    EXPECT_EQ(spec.kind, ForecastKind::kEwma) << text;
+    EXPECT_DOUBLE_EQ(spec.ewma_alpha, 0.6);
+    EXPECT_DOUBLE_EQ(spec.lead_ms, 750.0);
   }
-  const ForecastSpec spec = load_forecast_spec("@" + path);
-  EXPECT_EQ(spec.kind, ForecastKind::kEwma);
-  EXPECT_DOUBLE_EQ(spec.ewma_alpha, 0.6);
-  EXPECT_DOUBLE_EQ(spec.lead_ms, 750.0);
   std::remove(path.c_str());
   EXPECT_THROW((void)load_forecast_spec("@" + path), std::invalid_argument);
 }

@@ -122,16 +122,22 @@ TEST(TenantSpec, ToStringRoundTrips) {
 
 TEST(TenantSpec, LoadsFromFileWithNewlineClauses) {
   const std::string path = ::testing::TempDir() + "tenants_spec_test.txt";
-  {
-    std::ofstream file(path);
-    file << "gold:3:apps=0\n";
-    file << "bronze:1:apps=1\n";
-    file << "throttle=30\n";
+  // Plain LF, CRLF, and a file with blank and '#' comment lines all read
+  // the same.
+  for (const char* text :
+       {"gold:3:apps=0\nbronze:1:apps=1\nthrottle=30\n",
+        "gold:3:apps=0\r\nbronze:1:apps=1\r\nthrottle=30\r\n",
+        "# tiers\ngold:3:apps=0\n\n  # free\nbronze:1:apps=1\nthrottle=30\n"}) {
+    {
+      std::ofstream file(path, std::ios::binary);
+      file << text;
+    }
+    const TenantSpec spec = load_tenant_spec("@" + path);
+    ASSERT_EQ(spec.tenants.size(), 2u) << text;
+    EXPECT_EQ(spec.tenants[0].name, "gold");
+    EXPECT_EQ(spec.tenants[1].apps, std::vector<std::uint32_t>{1});
+    EXPECT_DOUBLE_EQ(spec.throttle_ms, 30.0);
   }
-  const TenantSpec spec = load_tenant_spec("@" + path);
-  ASSERT_EQ(spec.tenants.size(), 2u);
-  EXPECT_EQ(spec.tenants[0].name, "gold");
-  EXPECT_DOUBLE_EQ(spec.throttle_ms, 30.0);
   std::remove(path.c_str());
 }
 

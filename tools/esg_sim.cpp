@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/build_info.hpp"
+#include "common/spec.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exp/cli.hpp"
@@ -147,12 +148,11 @@ int main(int argc, char** argv) {
 
   std::string arrivals(exp::to_string(opts.scenario.arrivals.mode));
   if (opts.scenario.arrivals.mode == exp::ArrivalMode::kTrace) {
-    char scales[96];
-    std::snprintf(scales, sizeof(scales), ":%s,rate-scale=%g,time-scale=%g",
-                  opts.scenario.arrivals.trace_path.c_str(),
-                  opts.scenario.arrivals.replay.rate_scale,
-                  opts.scenario.arrivals.replay.time_scale);
-    arrivals += scales;
+    arrivals += ":" + opts.scenario.arrivals.trace_path +
+                ",rate-scale=" +
+                spec::fmt(opts.scenario.arrivals.replay.rate_scale) +
+                ",time-scale=" +
+                spec::fmt(opts.scenario.arrivals.replay.time_scale);
   }
   // The elastic suffix only appears when --elastic was given, keeping static
   // stdout unchanged.

@@ -3,8 +3,6 @@
 // multiplicative burst episodes, Poisson-sampled to integer counts.
 // Deterministic for a given --seed, so CI and benches can regenerate
 // identical traces instead of checking in large files.
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -15,10 +13,13 @@
 
 #include "common/build_info.hpp"
 #include "common/rng.hpp"
+#include "common/spec.hpp"
 #include "trace/azure_shape.hpp"
 #include "trace/workload_trace.hpp"
 
 namespace {
+
+namespace spec = esg::spec;
 
 struct Options {
   esg::trace::AzureShapeOptions shape;
@@ -64,33 +65,6 @@ exit codes: 0 success; 2 configuration error (bad flag or shape options);
 1 runtime failure (unwritable output, internal error).
 )";
 
-double parse_number(std::string_view key, std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    throw std::invalid_argument("malformed value for " + std::string(key) +
-                                ": '" + std::string(v) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_count(std::string_view key, std::string_view v) {
-  const double d = parse_number(key, v);
-  if (d < 0.0 || d != std::floor(d)) {
-    throw std::invalid_argument(std::string(key) +
-                                " must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-bool parse_bool(std::string_view key, std::string_view v) {
-  if (v == "on" || v == "true" || v == "1") return true;
-  if (v == "off" || v == "false" || v == "0") return false;
-  throw std::invalid_argument("malformed boolean for " + std::string(key) +
-                              ": '" + std::string(v) + "' (on|off)");
-}
-
 Options parse_args(std::span<const char* const> args) {
   Options opts;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -112,41 +86,41 @@ Options parse_args(std::span<const char* const> args) {
     }
     const std::string_view value = args[++i];
     if (key == "--apps") {
-      opts.shape.apps = parse_count(key, value);
+      opts.shape.apps = spec::count(value, key);
     } else if (key == "--bins") {
-      opts.shape.bins = parse_count(key, value);
+      opts.shape.bins = spec::count(value, key);
     } else if (key == "--days") {
-      opts.shape.days = parse_count(key, value);
+      opts.shape.days = spec::count(value, key);
       if (opts.shape.days < 1) {
         throw std::invalid_argument("--days must be >= 1");
       }
     } else if (key == "--bin-ms") {
-      opts.shape.bin_ms = parse_number(key, value);
+      opts.shape.bin_ms = spec::number(value, key);
     } else if (key == "--mean-rate") {
-      opts.shape.mean_rate_per_bin = parse_number(key, value);
+      opts.shape.mean_rate_per_bin = spec::number(value, key);
     } else if (key == "--diurnal-amplitude") {
-      opts.shape.diurnal_amplitude = parse_number(key, value);
+      opts.shape.diurnal_amplitude = spec::number(value, key);
     } else if (key == "--diurnal-period") {
-      opts.shape.diurnal_period_bins = parse_number(key, value);
+      opts.shape.diurnal_period_bins = spec::number(value, key);
     } else if (key == "--zipf-s") {
-      opts.shape.zipf_s = parse_number(key, value);
+      opts.shape.zipf_s = spec::number(value, key);
     } else if (key == "--bursts") {
-      opts.shape.burst_count = parse_count(key, value);
+      opts.shape.burst_count = spec::count(value, key);
     } else if (key == "--burst-factor") {
-      opts.shape.burst_factor = parse_number(key, value);
+      opts.shape.burst_factor = spec::number(value, key);
     } else if (key == "--burst-fraction") {
-      opts.shape.burst_fraction = parse_number(key, value);
+      opts.shape.burst_fraction = spec::number(value, key);
     } else if (key == "--fractional") {
-      opts.shape.integer_counts = !parse_bool(key, value);
+      opts.shape.integer_counts = !spec::on_off(value, key);
     } else if (key == "--tenants") {
-      opts.shape.tenants = parse_count(key, value);
+      opts.shape.tenants = spec::count(value, key);
       if (opts.shape.tenants < 1) {
         throw std::invalid_argument("--tenants must be >= 1");
       }
     } else if (key == "--tenant-zipf") {
-      opts.shape.tenant_zipf_s = parse_number(key, value);
+      opts.shape.tenant_zipf_s = spec::number(value, key);
     } else if (key == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(parse_count(key, value));
+      opts.seed = spec::count(value, key, {}, std::uint64_t{1} << 53);
     } else if (key == "--format") {
       opts.format = std::string(value);
       if (opts.format != "csv" && opts.format != "jsonl") {
