@@ -23,8 +23,6 @@
 //   ESG_BENCH_CORE_JOBS — pool worker threads (default 1: concurrent rows
 //     steal each other's wall clock, so parallelism is for smoke runs, not
 //     for numbers worth checking in).
-//   ESG_BENCH_CORE_ENGINE — heap|calendar event-queue engine (default
-//     calendar). Recorded in every row; informational for esg_perfdiff.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -68,16 +66,6 @@ unsigned core_jobs() {
   return 1;
 }
 
-sim::EngineKind core_engine() {
-  if (const char* env = std::getenv("ESG_BENCH_CORE_ENGINE")) {
-    if (const auto engine = sim::parse_engine(env)) return *engine;
-    std::fprintf(stderr, "unknown ESG_BENCH_CORE_ENGINE '%s' (heap|calendar)\n",
-                 env);
-    std::exit(2);
-  }
-  return sim::EngineKind::kCalendar;
-}
-
 /// All six scheduler kinds: the paper's five-way comparison plus the
 /// multi-tenant MQFQ-Sticky strategy (not in all_schedulers() by design).
 std::vector<exp::SchedulerKind> six_schedulers() {
@@ -96,7 +84,6 @@ int main(int argc, char** argv) {
   const auto kinds = six_schedulers();
   const double horizon_ms = core_horizon_ms();
   const double budget_ms = core_budget_ms();
-  const sim::EngineKind engine = core_engine();
 
   // One diurnal cycle + bursts across the horizon; mean rate matches the
   // paper's "normal" setting (one arrival per ~26.8 ms at rate-scale 1).
@@ -112,11 +99,10 @@ int main(int argc, char** argv) {
 
   std::printf("=== Core throughput: events/sec per scheduler x rate-scale ===\n");
   std::printf("trace: %zu bins x %.0f ms, %.0f invocations at rate-scale 1; "
-              "horizon %.0f ms, seed %llu, engine %s\n",
+              "horizon %.0f ms, seed %llu\n",
               workload_trace->bin_count(), workload_trace->bin_ms,
               workload_trace->total_count(), horizon_ms,
-              static_cast<unsigned long long>(kSeed),
-              sim::engine_name(engine));
+              static_cast<unsigned long long>(kSeed));
   if (budget_ms > 0.0) {
     std::printf("budget: %.0f ms wall per row (rows that hit it are marked "
                 "truncated)\n", budget_ms);
@@ -135,7 +121,6 @@ int main(int argc, char** argv) {
       s.horizon_ms = horizon_ms;
       s.warmup_ms = 0.0;  // throughput counts every event, not steady state
       s.seed = kSeed;
-      s.engine = engine;
       s.wall_budget_ms = budget_ms;
       s.arrivals.mode = exp::ArrivalMode::kTrace;
       s.arrivals.trace = workload_trace;
@@ -177,8 +162,7 @@ int main(int argc, char** argv) {
   if (budget_ms > 0.0) std::printf("* = truncated by the wall budget\n");
 
   // Machine-readable baseline: esg_perfdiff matches rows by scheduler +
-  // rate_scale + seed ("engine" is deliberately NOT part of the identity)
-  // and gates on the *_per_sec fields.
+  // rate_scale + seed and gates on the *_per_sec fields.
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -196,12 +180,11 @@ int main(int argc, char** argv) {
     std::fprintf(
         out,
         "    {\"scheduler\": \"%s\", \"rate_scale\": %g, \"seed\": %llu, "
-        "\"engine\": \"%s\", \"truncated\": %s, "
+        "\"truncated\": %s, "
         "\"invocations\": %zu, \"events\": %llu, \"wall_seconds\": %.4f, "
         "\"events_per_sec\": %.1f, \"invocations_per_sec\": %.1f}%s\n",
         std::string(exp::to_string(kinds[i / 3])).c_str(),
         kRateScales[i % 3], static_cast<unsigned long long>(kSeed),
-        sim::engine_name(engine),
         row.truncated ? "true" : "false", row.metrics.requests(),
         static_cast<unsigned long long>(row.counters.events_fired),
         row.wall_seconds,

@@ -199,11 +199,6 @@ usage: esg_sim [flags]
                          --tenants or a multi-tenant trace); with --sweep
                          a comma list runs several schedulers (e.g.
                          esg,infless,orion)
-  --engine     heap|calendar  event-queue engine        (default calendar)
-                         both engines fire events in identical order, so
-                         every artefact is byte-identical; the binary heap
-                         stays selectable for cross-checking (CI cmp-asserts
-                         the calendar queue against it)
   --sweep                run the (scheduler x seed) cross product in
                          parallel on the work-stealing pool and print a
                          per-cell table plus per-scheduler aggregates.
@@ -354,13 +349,6 @@ CliOptions parse_cli(std::span<const char* const> args) {
     if (key == "--scheduler") {
       opts.schedulers = parse_scheduler_list(value);
       opts.scenario.scheduler = opts.schedulers.front();
-    } else if (key == "--engine") {
-      const auto engine = sim::parse_engine(value);
-      if (!engine) {
-        throw std::invalid_argument("unknown --engine '" + std::string(value) +
-                                    "' (heap|calendar)");
-      }
-      opts.scenario.engine = *engine;
     } else if (key == "--jobs") {
       opts.jobs = static_cast<unsigned>(spec::count(value, key));
     } else if (key == "--sweep-out") {

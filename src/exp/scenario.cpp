@@ -255,7 +255,7 @@ RunOutput run_scenario(const Scenario& scenario_in,
         std::make_unique<tenant::FairQueue>(tenant_spec, cluster_nodes, mqfq);
   }
 
-  sim::Simulator sim(scenario.engine);
+  sim::Simulator sim;
   cluster::Cluster cluster(cluster_nodes);
   const auto scheduler =
       make_scheduler(scenario, apps, profiles, rng, fair_queue.get());

@@ -22,7 +22,6 @@
 #include "perf/counters.hpp"
 #include "platform/controller.hpp"
 #include "profile/profile_table.hpp"
-#include "sim/simulator.hpp"
 #include "tenant/tenant_spec.hpp"
 #include "trace/replay.hpp"
 #include "workload/applications.hpp"
@@ -105,10 +104,6 @@ struct Scenario {
   /// identically and is not what the paper's Figures 6-8 report).
   TimeMs warmup_ms = 0.0;
   std::uint64_t seed = 42;
-  /// Event-queue engine backing the run's Simulator (--engine). Both engines
-  /// fire in identical (when, seq) order, so every artefact is byte-identical
-  /// across them (DESIGN.md §15); heap stays selectable for cross-checking.
-  sim::EngineKind engine = sim::EngineKind::kCalendar;
   /// Wall-clock budget for the event loop in milliseconds (0 = unlimited).
   /// A budgeted run stops firing events once the budget is spent and sets
   /// RunOutput::truncated; the bench suite uses this to bound per-row cost

@@ -222,10 +222,6 @@ std::string element_key(const Json& element, std::size_t index) {
   if (element.kind != Json::Kind::kObject) return std::to_string(index);
   std::string key;
   for (const auto& [name, member] : element.object) {
-    // "engine" is informational provenance, not identity: both engines
-    // produce byte-identical runs by contract, so rows stay comparable
-    // against baselines written before the field existed.
-    if (name == "engine") continue;
     const bool id_number = member.kind == Json::Kind::kNumber &&
                            (name == "rate_scale" || name == "seed");
     if (member.kind != Json::Kind::kString && !id_number) continue;

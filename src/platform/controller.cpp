@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -19,6 +17,32 @@ namespace {
 /// Floor on the multiplicative execution-noise factor so a pathological
 /// Gaussian draw can never produce a non-positive latency.
 constexpr double kNoiseFloor = 0.3;
+
+/// Queue-scan cadence.
+constexpr TimeMs kScanIntervalMs = 1.0;
+/// Rounds a queue may fail placement before the forced minimum-config
+/// dispatch (Section 3.1: "if a queue stays in the recheck list too long
+/// (e.g., 3 rounds), it will be dispatched with the minimum configuration").
+constexpr int kRecheckRoundsBeforeMin = 3;
+/// Re-plan a queue whose length has not changed at most this often; in
+/// between, cached candidates are retried against the (changed) worker
+/// states, which is exactly the recheck-list behaviour of Section 3.1.
+constexpr TimeMs kReplanIntervalMs = 5.0;
+/// Safety valve: a queue deferring longer than this is dispatched anyway.
+constexpr TimeMs kDeferCapMs = 30'000.0;
+/// Recovery policy (fault-injected runs only). A failed task's jobs are
+/// re-enqueued with capped exponential backoff, excluding the invoker that
+/// failed, at most kMaxTaskRetries times per job; after that the request is
+/// aborted and counted as an SLO miss.
+constexpr int kMaxTaskRetries = 3;
+constexpr TimeMs kRetryBackoffBaseMs = 8.0;
+constexpr TimeMs kRetryBackoffCapMs = 512.0;
+/// Watchdog: a dispatched task that has not completed within
+/// kTaskTimeoutFactor x its noise-free expected latency (with a floor for
+/// very short stages) is declared failed — how the controller detects
+/// crashes and fault-injected stragglers without an oracle.
+constexpr double kTaskTimeoutFactor = 4.0;
+constexpr TimeMs kTaskTimeoutFloorMs = 50.0;
 
 }  // namespace
 
@@ -106,7 +130,7 @@ Controller::Controller(sim::Simulator& sim, cluster::Cluster& cluster,
         }
       }
       cluster_.invoker(home).add_warm(queue.function, 0.0,
-                                      options_.keep_alive_ms);
+                                      cluster::kKeepAliveMs);
     }
   }
 
@@ -398,7 +422,7 @@ void Controller::scan() {
 
   if (any_queue_nonempty()) {
     scan_scheduled_ = true;
-    sim_.schedule_in(options_.scan_interval_ms, [this] { scan(); });
+    sim_.schedule_in(kScanIntervalMs, [this] { scan(); });
   }
 }
 
@@ -495,7 +519,7 @@ void Controller::process_queue(std::size_t qi) {
     queue.pending_overhead_ms = plan.overhead_ms;
     queue.pending_defer = plan.defer;
     queue.planned_length = queue.jobs.size();
-    queue.replan_at_ms = sim_.now() + options_.replan_interval_ms;
+    queue.replan_at_ms = sim_.now() + kReplanIntervalMs;
 
     if (queue.pending_defer && traced_now()) {
       rec_->instant(obs::InstantKind::kDefer, "defer", obs::controller_track(),
@@ -516,8 +540,8 @@ void Controller::process_queue(std::size_t qi) {
 
   const TimeMs head_wait = sim_.now() - queue.jobs.front().enqueue_ms;
   const bool forced =
-      queue.placement_failures >= options_.recheck_rounds_before_min ||
-      head_wait > options_.defer_cap_ms;
+      queue.placement_failures >= kRecheckRoundsBeforeMin ||
+      head_wait > kDeferCapMs;
   if (queue.pending_defer && !forced) return;
 
   std::vector<profile::Config> candidates;
@@ -657,15 +681,6 @@ void Controller::process_queue(std::size_t qi) {
       return;
     }
   }
-  if (std::getenv("ESG_DEBUG") != nullptr && queue.placement_failures == 0) {
-    std::fprintf(stderr,
-                 "[%.0f] NOPLACE app=%u stage=%zu cands=%zu first=%s "
-                 "free=(%zu,%zu) qlen=%zu\n",
-                 sim_.now(), queue.app.get(), queue.stage, candidates.size(),
-                 candidates.empty() ? "-" : to_string(candidates.front()).c_str(),
-                 cluster_.total_free_vcpus(), cluster_.total_free_vgpus(),
-                 queue.jobs.size());
-  }
   if (traced_now()) {
     rec_->instant(obs::InstantKind::kNoPlacement, "no placement",
                   obs::controller_track(), sim_.now(),
@@ -770,15 +785,7 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
   // Fault runs account the task when its outcome is known: a completed task
   // books here retroactively from finish_inflight(); a failed one bills only
   // the occupancy it actually held, in fail_inflight().
-  if (measured && fault_ == nullptr) {
-    metrics_.total_cost += task.cost;
-    metrics_.cost_by_app[task.app] += task.cost;
-    ++metrics_.tasks;
-    metrics_.task_trace.push_back(metrics::TaskRecord{
-        task.id, task.app, task.stage, task.function, task.invoker,
-        task.config.batch, task.config.vcpus, task.config.vgpus,
-        task.dispatch_ms, task.transfer_ms, task.exec_ms, task.cost});
-  }
+  if (fault_ == nullptr) account_task(task);
 
   const TimeMs start = sim_.now() + overhead_ms;  // work begins post-overhead
   const TimeMs done = start + task.occupancy_ms();
@@ -811,15 +818,6 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
                             task.occupancy_ms());
   }
 
-  if (std::getenv("ESG_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "[%.0f] DISPATCH app=%u stage=%zu b=%u c=%u g=%u cold=%.0f "
-                 "xfer=%.0f exec=%.0f occ=%.0f inv=%u\n",
-                 sim_.now(), task.app.get(), task.stage, config.batch,
-                 config.vcpus, config.vgpus, task.cold_ms, task.transfer_ms,
-                 task.exec_ms, task.occupancy_ms(), invoker_id.get());
-  }
-
   // The scheduling overhead delays the start of the work; the resources are
   // reserved now (the controller has committed them) but the occupancy bill
   // covers only the task itself.
@@ -850,8 +848,8 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
   // past `factor` x nominal is killed and retried even though it would have
   // finished eventually.
   const TimeMs watchdog_ms =
-      std::max(options_.task_timeout_floor_ms,
-               options_.task_timeout_factor * (task.transfer_ms + nominal_ms));
+      std::max(kTaskTimeoutFloorMs,
+               kTaskTimeoutFactor * (task.transfer_ms + nominal_ms));
   entry.timeout = sim_.schedule_at(start + watchdog_ms, [this, tid] {
     fail_inflight(tid, FailureCause::kTimeout);
   });
@@ -930,17 +928,20 @@ void Controller::finish_inflight(std::uint32_t task_id) {
   sim_.cancel(entry.timeout);
   const Task& task = entry.task;
 
-  if (task.dispatch_ms >= options_.metrics_warmup_ms) {
-    metrics_.total_cost += task.cost;
-    metrics_.cost_by_app[task.app] += task.cost;
-    ++metrics_.tasks;
-    metrics_.task_trace.push_back(metrics::TaskRecord{
-        task.id, task.app, task.stage, task.function, task.invoker,
-        task.config.batch, task.config.vcpus, task.config.vgpus,
-        task.dispatch_ms, task.transfer_ms, task.exec_ms, task.cost});
-  }
+  account_task(task);
   emit_task_spans(task, entry.overhead_ms, sim_.now(), false, {});
   complete_task(task);
+}
+
+void Controller::account_task(const Task& task) {
+  if (task.dispatch_ms < options_.metrics_warmup_ms) return;
+  metrics_.total_cost += task.cost;
+  metrics_.cost_by_app[task.app] += task.cost;
+  ++metrics_.tasks;
+  metrics_.task_trace.push_back(metrics::TaskRecord{
+      task.id, task.app, task.stage, task.function, task.invoker,
+      task.config.batch, task.config.vcpus, task.config.vgpus,
+      task.dispatch_ms, task.transfer_ms, task.exec_ms, task.cost});
 }
 
 void Controller::fail_inflight(std::uint32_t task_id, FailureCause cause) {
@@ -1009,7 +1010,7 @@ void Controller::retry_or_abort(const Task& task, FailureCause cause) {
                      {"task", std::to_string(task.id.get())}});
     }
 
-    if (static_cast<int>(retry.attempts) > options_.max_task_retries) {
+    if (static_cast<int>(retry.attempts) > kMaxTaskRetries) {
       if (traced_now()) {
         rec_->instant(obs::InstantKind::kRetryExhausted, "retry exhausted",
                       obs::request_track(job.request), now,
@@ -1022,8 +1023,8 @@ void Controller::retry_or_abort(const Task& task, FailureCause cause) {
 
     if (now >= options_.metrics_warmup_ms) ++metrics_.retries;
     const TimeMs backoff_ms =
-        std::min(options_.retry_backoff_cap_ms,
-                 options_.retry_backoff_base_ms *
+        std::min(kRetryBackoffCapMs,
+                 kRetryBackoffBaseMs *
                      std::exp2(static_cast<double>(retry.attempts - 1)));
     if (traced_now()) {
       rec_->instant(obs::InstantKind::kRetry, "retry",
@@ -1339,7 +1340,7 @@ void Controller::provision_container(InvokerId invoker, FunctionId function) {
       }
     } else {
       cluster_.invoker(invoker).add_warm(function, sim_.now(),
-                                         options_.keep_alive_ms);
+                                         cluster::kKeepAliveMs);
     }
     ensure_scan_scheduled();
   });
@@ -1366,7 +1367,7 @@ void Controller::complete_task(const Task& task) {
   if (!task.trace_lanes.empty()) {
     trace_gpu_lanes_.release(task.invoker.get(), task.trace_lanes);
   }
-  invoker.add_warm(task.function, sim_.now(), options_.keep_alive_ms);
+  invoker.add_warm(task.function, sim_.now(), cluster::kKeepAliveMs);
   auto it = active_by_function_.find(task.function);
   check(it != active_by_function_.end() && it->second > 0,
         "complete_task: active-task accounting underflow");

@@ -38,40 +38,20 @@
 namespace esg::platform {
 
 struct ControllerOptions {
-  TimeMs scan_interval_ms = 1.0;  ///< queue-scan cadence
   /// Coefficient of variation of the multiplicative Gaussian execution noise
   /// (Section 4: "the emulations add Gaussian noises to the performance").
   double noise_cv = 0.06;
-  /// Rounds a queue may fail placement before the forced minimum-config
-  /// dispatch (Section 3.1: "if a queue stays in the recheck list too long
-  /// (e.g., 3 rounds), it will be dispatched with the minimum configuration").
-  int recheck_rounds_before_min = 3;
   bool enable_prewarm = true;
   /// Ablation switches (Figure 12). With GPU sharing disabled every task
   /// occupies (and is billed for) the node's entire GPU; with batching
   /// disabled every task carries exactly one job.
   bool enable_gpu_sharing = true;
   bool enable_batching = true;
-  TimeMs keep_alive_ms = cluster::kKeepAliveMs;
-  /// Re-plan a queue whose length has not changed at most this often; in
-  /// between, cached candidates are retried against the (changed) worker
-  /// states, which is exactly the recheck-list behaviour of Section 3.1.
-  TimeMs replan_interval_ms = 5.0;
-  /// Safety valve: a queue deferring longer than this is dispatched anyway.
-  TimeMs defer_cap_ms = 30'000.0;
   /// Measurement warm-up: requests arriving before this time are simulated
   /// normally but excluded from the completion/cost/start metrics, so
   /// experiments report steady-state behaviour rather than the initial
   /// cold-start wave (every scheduler shares the same warm-up).
   TimeMs metrics_warmup_ms = 0.0;
-  /// Cold-start patience: if the chosen invoker has no warm container but
-  /// the function is active somewhere (a container will free up soon), the
-  /// dispatch waits up to `factor x cold_start` of queueing delay before
-  /// paying the cold start. Spinning up a container that loads a model for
-  /// tens of seconds to serve a sub-second job while an identical container
-  /// is about to become idle is how keep-alive platforms melt down; real
-  /// controllers queue on the warm fleet instead.
-  double cold_patience_factor = 0.15;
   /// Structured-tracing handle (non-owning; nullptr or a recorder with no
   /// sinks disables all instrumentation at a single-branch cost). Spans and
   /// instants follow the metrics warm-up window so trace counts line up
@@ -83,19 +63,6 @@ struct ControllerOptions {
   /// the engine on the simulator, and tracks every task in flight so it can
   /// fail, time out, and retry them.
   fault::FaultEngine* fault = nullptr;
-  /// Recovery policy (only consulted when `fault` is set). A failed task's
-  /// jobs are re-enqueued with capped exponential backoff, excluding the
-  /// invoker that failed, at most `max_task_retries` times per job; after
-  /// that the request is aborted and counted as an SLO miss.
-  int max_task_retries = 3;
-  TimeMs retry_backoff_base_ms = 8.0;
-  TimeMs retry_backoff_cap_ms = 512.0;
-  /// Watchdog: a dispatched task that has not completed within
-  /// `task_timeout_factor` x its noise-free expected latency (with a floor
-  /// for very short stages) is declared failed — how the controller detects
-  /// crashes and fault-injected stragglers without an oracle.
-  double task_timeout_factor = 4.0;
-  TimeMs task_timeout_floor_ms = 50.0;
   /// Elastic fleet manager (non-owning; nullptr = static fleet). When set,
   /// the controller wires the manager's hooks (queue depth, activation
   /// re-scan, drain-time provisioning cancellation), notifies it of
@@ -243,7 +210,9 @@ class Controller {
   std::unique_ptr<prewarm::PrewarmManager> prewarm_;
   obs::TraceRecorder* rec_ = nullptr;     ///< = options_.recorder
   obs::LaneAllocator trace_gpu_lanes_;    ///< vGPU-slice rows for the trace
-  /// Running tasks per function (any app) — drives the cold-start patience.
+  /// Running tasks per function (any app). While a function is running or
+  /// warm somewhere, a queue that cannot place it waits without counting a
+  /// placement failure (see function_active_anywhere).
   std::unordered_map<FunctionId, std::size_t> active_by_function_;
   /// (invoker, function) pairs with a container currently being provisioned,
   /// mapped to the landing event so a crash can cancel it.
@@ -284,6 +253,9 @@ class Controller {
   void enqueue_job(RequestId request, AppId app, workload::NodeIndex stage,
                    InvokerId input_location, TimeMs now);
   void finish_request(RequestId request, TimeMs completion_ms);
+  /// Books a finished task's cost and trace row (skipped inside the metrics
+  /// warm-up window).
+  void account_task(const Task& task);
 
   /// Emits the per-job wait/run spans and the invoker staging/exec/slice
   /// spans of a task ending (successfully or not) at `done`. Shared by the

@@ -9,9 +9,9 @@
 // whenever occupancy drifts, keeping both enqueue and dequeue O(1) amortized.
 //
 // Ordering contract: pop_min() returns items in strictly ascending
-// (when, seq) order — identical to a binary min-heap over the same keys — so
-// the two Simulator engines produce byte-identical runs. Equal-timestamp
-// items fire in insertion (seq) order.
+// (when, seq) order — identical to a binary min-heap over the same keys, which
+// the randomized lockstep test checks. Equal-timestamp items fire in
+// insertion (seq) order.
 #pragma once
 
 #include <cstdint>

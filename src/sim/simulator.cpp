@@ -9,16 +9,6 @@
 
 namespace esg::sim {
 
-const char* engine_name(EngineKind engine) {
-  return engine == EngineKind::kHeap ? "heap" : "calendar";
-}
-
-std::optional<EngineKind> parse_engine(std::string_view name) {
-  if (name == "heap") return EngineKind::kHeap;
-  if (name == "calendar") return EngineKind::kCalendar;
-  return std::nullopt;
-}
-
 EventHandle Simulator::schedule_in(TimeMs delay, Action action) {
   if (delay < 0.0) throw std::invalid_argument("Simulator: negative delay");
   return schedule_at(now_ + delay, std::move(action));
@@ -28,11 +18,7 @@ EventHandle Simulator::schedule_at(TimeMs when, Action action) {
   if (when < now_) throw std::invalid_argument("Simulator: schedule in the past");
   if (!action) throw std::invalid_argument("Simulator: empty action");
   const std::uint64_t seq = next_seq_++;
-  if (engine_ == EngineKind::kHeap) {
-    heap_.push(Entry{when, seq, std::move(action)});
-  } else {
-    calendar_.push(CalendarItem{when, seq, std::move(action)});
-  }
+  calendar_.push(CalendarItem{when, seq, std::move(action)});
   seq_state_.push_back(kSeqLive);  // index seq - 1: seqs are dense from 1
   ++counters_.events_scheduled;
   ++counters_.heap_pushes;
@@ -52,35 +38,16 @@ void Simulator::cancel(EventHandle handle) {
 }
 
 bool Simulator::pop_next(TimeMs& when, std::uint64_t& seq, Action& action) {
-  if (engine_ == EngineKind::kHeap) {
-    if (heap_.empty()) return false;
-    // priority_queue::top is const; the entry is copied cheaply except for
-    // the action, which we move out via const_cast before popping — the
-    // entry is removed immediately after, so the moved-from state is never
-    // observed.
-    Entry& top = const_cast<Entry&>(heap_.top());
-    when = top.when;
-    seq = top.seq;
-    action = std::move(top.action);
-    heap_.pop();
-  } else {
-    if (calendar_.empty()) return false;
-    CalendarItem item = calendar_.pop_min();
-    when = item.when;
-    seq = item.seq;
-    action = std::move(item.action);
-  }
+  if (calendar_.empty()) return false;
+  CalendarItem item = calendar_.pop_min();
+  when = item.when;
+  seq = item.seq;
+  action = std::move(item.action);
   ++counters_.heap_pops;
   return true;
 }
 
 bool Simulator::peek_next(TimeMs& when, std::uint64_t& seq) {
-  if (engine_ == EngineKind::kHeap) {
-    if (heap_.empty()) return false;
-    when = heap_.top().when;
-    seq = heap_.top().seq;
-    return true;
-  }
   const CalendarItem* item = calendar_.peek();
   if (item == nullptr) return false;
   when = item->when;

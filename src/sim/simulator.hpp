@@ -5,17 +5,13 @@
 // is bit-reproducible for a fixed seed. Handlers may schedule further events
 // and may cancel previously scheduled ones via the returned handle.
 //
-// Two interchangeable priority structures back the queue (DESIGN.md §15): a
-// binary min-heap and a calendar queue with O(1) amortized schedule/fire.
-// Both fire in identical (when, seq) order and maintain identical counters,
-// so every artefact is byte-identical across engines.
+// A calendar queue with O(1) amortized schedule/fire backs the queue
+// (DESIGN.md §15). The counters keep their heap_pushes/heap_pops names, which
+// the perf artefact schema uses.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <queue>
-#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -23,17 +19,6 @@
 #include "sim/calendar_queue.hpp"
 
 namespace esg::sim {
-
-/// Which priority structure backs the event queue. The calendar queue is the
-/// default; the heap stays selectable (--engine heap) so historic artefacts
-/// remain reproducible and CI can cross-check byte-identity.
-enum class EngineKind { kHeap, kCalendar };
-
-/// "heap" or "calendar" (stable CLI/artefact spelling).
-[[nodiscard]] const char* engine_name(EngineKind engine);
-
-/// Parses the CLI spelling; nullopt when unrecognised.
-[[nodiscard]] std::optional<EngineKind> parse_engine(std::string_view name);
 
 /// Handle for cancelling a scheduled event. Default-constructed = invalid.
 class EventHandle {
@@ -51,11 +36,6 @@ class EventHandle {
 class Simulator {
  public:
   using Action = std::function<void()>;
-
-  explicit Simulator(EngineKind engine = EngineKind::kCalendar)
-      : engine_(engine) {}
-
-  [[nodiscard]] EngineKind engine() const { return engine_; }
 
   /// Current simulated time in milliseconds.
   [[nodiscard]] TimeMs now() const { return now_; }
@@ -80,7 +60,7 @@ class Simulator {
   bool step();
 
   [[nodiscard]] std::size_t pending() const {
-    return queue_size() - cancelled_;
+    return calendar_.size() - cancelled_;
   }
   [[nodiscard]] bool empty() const { return pending() == 0; }
 
@@ -88,25 +68,11 @@ class Simulator {
   [[nodiscard]] const perf::Counters& counters() const { return counters_; }
 
  private:
-  struct Entry {
-    TimeMs when;
-    std::uint64_t seq;
-    Action action;
-
-    bool operator>(const Entry& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
-  };
-
   // Per-event lifecycle, indexed by seq - 1 (seqs are dense from 1). One byte
   // per event ever scheduled buys O(1) cancel and cancelled-drop checks;
   // cancellation stays lazy — the queue entry is dropped when it surfaces.
   enum SeqState : std::uint8_t { kSeqLive = 0, kSeqCancelled = 1, kSeqDone = 2 };
 
-  [[nodiscard]] std::size_t queue_size() const {
-    return engine_ == EngineKind::kHeap ? heap_.size() : calendar_.size();
-  }
   /// Removes the minimum entry (counts a heap_pop). False when empty.
   bool pop_next(TimeMs& when, std::uint64_t& seq, Action& action);
   /// Reads the minimum entry's key without removing it. False when empty.
@@ -114,8 +80,6 @@ class Simulator {
   /// Marks `seq` done; true (and bookkeeping updated) if it was cancelled.
   bool consume_cancelled(std::uint64_t seq);
 
-  EngineKind engine_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
   CalendarQueue calendar_;
   std::vector<std::uint8_t> seq_state_;
   std::size_t cancelled_ = 0;

@@ -35,6 +35,7 @@ expect 2 "--fault-spec" "$sim" --fault-spec "explode:prob=1"
 expect 2 "fault-spec clause 'explode:prob=1'" \
   "$sim" --fault-spec "explode:prob=1"
 expect 2 "" "$sim" --horizon-ms nan
+expect 2 "unknown flag '--engine'" "$sim" --engine heap
 
 # Workload traces and the trace generator.
 printf 'esg-trace,v1,bin_ms=500,apps=2\n0,0,nan\n' >"$tmp/bad.csv"

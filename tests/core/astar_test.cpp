@@ -3,9 +3,9 @@
 // infeasibility verdicts otherwise.
 #include <gtest/gtest.h>
 
-#include "core/astar_reference.hpp"
 #include "core/esg_1q.hpp"
 #include "profile/function_spec.hpp"
+#include "support/astar_reference.hpp"
 #include "workload/applications.hpp"
 
 namespace esg::core {

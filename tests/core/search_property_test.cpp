@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/astar_reference.hpp"
 #include "core/brute_force.hpp"
 #include "core/esg_1q.hpp"
 #include "profile/profile_table.hpp"
+#include "support/astar_reference.hpp"
 
 namespace esg::core {
 namespace {

@@ -1,7 +1,6 @@
-// Engine and sweep CLI surface (DESIGN.md §15): parse coverage for
-// --engine/--sweep/--jobs/--sweep-out including the cross-flag validation,
-// plus the scenario-level contract the CI byte-identity check rests on —
-// heap and calendar runs produce identical RunOutput on full scenarios.
+// Sweep CLI surface (DESIGN.md §15): parse coverage for
+// --sweep/--jobs/--sweep-out including the cross-flag validation, plus the
+// scenario-level wall-budget truncation contract.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -21,20 +20,11 @@ CliOptions parse(std::initializer_list<const char*> args) {
 
 TEST(EngineCli, DefaultsToCalendar) {
   const CliOptions opts = parse({});
-  EXPECT_EQ(opts.scenario.engine, sim::EngineKind::kCalendar);
   EXPECT_FALSE(opts.sweep);
   EXPECT_EQ(opts.jobs, 0u);
   EXPECT_TRUE(opts.sweep_out.empty());
   EXPECT_EQ(opts.schedulers,
             (std::vector<SchedulerKind>{SchedulerKind::kEsg}));
-}
-
-TEST(EngineCli, ParsesEngineNames) {
-  EXPECT_EQ(parse({"--engine", "heap"}).scenario.engine,
-            sim::EngineKind::kHeap);
-  EXPECT_EQ(parse({"--engine", "calendar"}).scenario.engine,
-            sim::EngineKind::kCalendar);
-  EXPECT_THROW(parse({"--engine", "splay"}), std::invalid_argument);
 }
 
 TEST(EngineCli, SweepFlagsParse) {
@@ -77,41 +67,6 @@ TEST(EngineCli, SweepRejectsFileProducingFlags) {
 TEST(EngineCli, JobsAllowedWithoutSweep) {
   // --jobs also caps the multi-seed replica runner.
   EXPECT_EQ(parse({"--jobs", "2", "--seeds", "3"}).jobs, 2u);
-}
-
-/// The contract behind `--engine`: a full scenario (controller, prewarm,
-/// noise, metrics) run on both engines yields identical outputs. This is
-/// the in-process version of CI's artefact byte-identity cmp.
-TEST(EngineEquivalence, FullScenarioRunsIdenticallyOnBothEngines) {
-  for (const std::uint64_t seed : {42ull, 7ull}) {
-    Scenario scenario;
-    scenario.horizon_ms = 1'000.0;
-    scenario.nodes = 8;
-    scenario.seed = seed;
-
-    Scenario heap = scenario;
-    heap.engine = sim::EngineKind::kHeap;
-    Scenario calendar = scenario;
-    calendar.engine = sim::EngineKind::kCalendar;
-
-    const RunOutput a = run_scenario(heap);
-    const RunOutput b = run_scenario(calendar);
-
-    EXPECT_EQ(a.metrics.requests(), b.metrics.requests());
-    EXPECT_EQ(a.metrics.slo_hit_rate(), b.metrics.slo_hit_rate());
-    EXPECT_EQ(a.metrics.total_cost, b.metrics.total_cost);
-    EXPECT_EQ(a.metrics.cold_starts, b.metrics.cold_starts);
-    EXPECT_EQ(a.metrics.mean_job_wait_ms(), b.metrics.mean_job_wait_ms());
-    EXPECT_EQ(a.simulated_end_ms, b.simulated_end_ms);
-    EXPECT_EQ(a.counters.events_fired, b.counters.events_fired);
-    EXPECT_EQ(a.counters.events_scheduled, b.counters.events_scheduled);
-    EXPECT_EQ(a.counters.events_cancelled, b.counters.events_cancelled);
-    EXPECT_EQ(a.counters.heap_pushes, b.counters.heap_pushes);
-    EXPECT_EQ(a.counters.heap_pops, b.counters.heap_pops);
-    EXPECT_EQ(a.counters.queue_visits, b.counters.queue_visits);
-    EXPECT_FALSE(a.truncated);
-    EXPECT_FALSE(b.truncated);
-  }
 }
 
 TEST(EngineEquivalence, WallBudgetTruncatesAndReports) {

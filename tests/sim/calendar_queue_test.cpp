@@ -1,14 +1,18 @@
 // Calendar-queue engine tests (DESIGN.md §15): raw CalendarQueue ordering
-// and resize behavior, plus Simulator-level heap/calendar equivalence —
-// equal-timestamp FIFO stability, cancel-after-fire on bucket boundaries,
-// horizon-exclusive firing, and a randomized cross-engine lockstep check.
+// and resize behavior, plus Simulator-level event order — equal-timestamp
+// FIFO stability, cancel-after-fire on bucket boundaries, horizon-exclusive
+// firing, and a randomized lockstep check against a binary-heap reference.
 #include "sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -93,19 +97,10 @@ TEST(CalendarQueue, OrderSurvivesWidthSkew) {
   }
 }
 
-// -- Simulator-level cross-engine behavior ---------------------------------
-
-TEST(CalendarEngine, EngineNamesRoundTrip) {
-  EXPECT_STREQ(engine_name(EngineKind::kHeap), "heap");
-  EXPECT_STREQ(engine_name(EngineKind::kCalendar), "calendar");
-  EXPECT_EQ(parse_engine("heap"), EngineKind::kHeap);
-  EXPECT_EQ(parse_engine("calendar"), EngineKind::kCalendar);
-  EXPECT_FALSE(parse_engine("splay").has_value());
-  EXPECT_EQ(Simulator{}.engine(), EngineKind::kCalendar);
-}
+// -- Simulator-level event order --------------------------------------------
 
 TEST(CalendarEngine, EqualTimestampFifoStability) {
-  Simulator sim(EngineKind::kCalendar);
+  Simulator sim;
   std::vector<int> order;
   // Many ties at one instant, interleaved with other instants, scheduled in
   // shuffled time order: ties must fire in scheduling order.
@@ -122,7 +117,7 @@ TEST(CalendarEngine, CancelAfterFireOnBucketBoundary) {
   // The cancelled event sits exactly on a day boundary (width starts at
   // 1 ms, so integer times are boundaries); cancelling it after an earlier
   // same-bucket event fired must not disturb later firing or counters.
-  Simulator sim(EngineKind::kCalendar);
+  Simulator sim;
   std::vector<int> order;
   EventHandle doomed = sim.schedule_at(4.0, [&] { order.push_back(99); });
   sim.schedule_at(3.0, [&] {
@@ -142,7 +137,7 @@ TEST(CalendarEngine, CancelAfterFireOnBucketBoundary) {
 }
 
 TEST(CalendarEngine, RunUntilIsHorizonExclusiveForLaterEvents) {
-  Simulator sim(EngineKind::kCalendar);
+  Simulator sim;
   std::vector<TimeMs> fired;
   sim.schedule_at(10.0, [&] { fired.push_back(10.0); });
   sim.schedule_at(20.0, [&] { fired.push_back(20.0); });
@@ -160,7 +155,7 @@ TEST(CalendarEngine, ScheduleEarlierAfterCancelledDeadlineDrop) {
   // run_until may drop a cancelled entry that lies past the deadline; a
   // later schedule below that dropped time must still fire first (the
   // cur_day_ lower-bound invariant).
-  Simulator sim(EngineKind::kCalendar);
+  Simulator sim;
   std::vector<int> order;
   EventHandle doomed = sim.schedule_at(100.0, [&] { order.push_back(99); });
   sim.cancel(doomed);
@@ -172,18 +167,103 @@ TEST(CalendarEngine, ScheduleEarlierAfterCancelledDeadlineDrop) {
   EXPECT_EQ(sim.now(), 70.0);
 }
 
-/// Drives both engines in lockstep through a randomized schedule/cancel/
-/// run_until workload and asserts identical firing logs, clocks, and
-/// counters. The workload self-schedules from handlers so ties, cancels of
-/// fired events, and bucket-boundary times all occur organically.
+/// Reference event queue for the lockstep test: a binary min-heap on
+/// (when, seq) with lazy cancellation. It follows the Simulator's firing
+/// rules and counter ticks, so both must agree event for event.
+class HeapReference {
+ public:
+  using Action = std::function<void()>;
+
+  [[nodiscard]] TimeMs now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size() - cancelled_; }
+  [[nodiscard]] const perf::Counters& counters() const { return counters_; }
+
+  std::uint64_t schedule_in(TimeMs delay, Action action) {
+    actions_.push_back(std::move(action));
+    state_.push_back(kLive);
+    const std::uint64_t seq = actions_.size();  // dense from 1
+    heap_.emplace(now_ + delay, seq);
+    ++counters_.events_scheduled;
+    ++counters_.heap_pushes;
+    return seq;
+  }
+
+  void cancel(std::uint64_t seq) {
+    if (seq == 0 || seq > state_.size() || state_[seq - 1] != kLive) return;
+    state_[seq - 1] = kCancelled;
+    ++cancelled_;
+    ++counters_.events_cancelled;
+  }
+
+  bool step() {
+    while (!heap_.empty()) {
+      const auto [when, seq] = pop();
+      if (consume_cancelled(seq)) continue;
+      now_ = when;
+      ++counters_.events_fired;
+      std::exchange(actions_[seq - 1], nullptr)();
+      return true;
+    }
+    return false;
+  }
+
+  void run() {
+    while (step()) {
+    }
+  }
+
+  void run_until(TimeMs deadline) {
+    while (!heap_.empty()) {
+      const auto [when, seq] = heap_.top();
+      if (state_[seq - 1] == kCancelled) {
+        consume_cancelled(pop().second);
+        continue;
+      }
+      if (when > deadline) break;
+      step();
+    }
+    now_ = std::max(now_, deadline);
+  }
+
+ private:
+  enum State : std::uint8_t { kLive, kCancelled, kDone };
+  using Key = std::pair<TimeMs, std::uint64_t>;
+
+  Key pop() {
+    const Key top = heap_.top();
+    heap_.pop();
+    ++counters_.heap_pops;
+    return top;
+  }
+
+  bool consume_cancelled(std::uint64_t seq) {
+    const State was = std::exchange(state_[seq - 1], kDone);
+    if (was != kCancelled) return false;
+    --cancelled_;
+    return true;
+  }
+
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap_;
+  std::vector<Action> actions_;  // indexed by seq - 1
+  std::vector<State> state_;     // indexed by seq - 1
+  std::size_t cancelled_ = 0;
+  TimeMs now_ = 0.0;
+  perf::Counters counters_;
+};
+
+/// Drives the Simulator and the heap reference in lockstep through a
+/// randomized schedule/cancel/run_until workload and asserts identical firing
+/// logs, clocks, and counters. The workload self-schedules from handlers so
+/// ties, cancels of fired events, and bucket-boundary times all occur
+/// organically.
 TEST(CalendarEngine, RandomizedHeapEquivalence) {
   for (std::uint64_t round = 0; round < 20; ++round) {
     std::mt19937_64 heap_rng(900 + round);
     std::mt19937_64 cal_rng(900 + round);
 
-    const auto drive = [](Simulator& sim, std::mt19937_64& rng) {
+    const auto drive = [](auto& sim, std::mt19937_64& rng) {
       std::vector<std::string> log;
-      std::vector<EventHandle> handles;
+      std::vector<decltype(sim.schedule_in(0.0, {}))> handles;
       std::uniform_real_distribution<double> delay(0.0, 8.0);
       std::uniform_int_distribution<int> action(0, 9);
       // Quantize half the delays to integers so bucket boundaries and exact
@@ -220,8 +300,8 @@ TEST(CalendarEngine, RandomizedHeapEquivalence) {
       return log;
     };
 
-    Simulator heap_sim(EngineKind::kHeap);
-    Simulator cal_sim(EngineKind::kCalendar);
+    HeapReference heap_sim;
+    Simulator cal_sim;
     const auto heap_log = drive(heap_sim, heap_rng);
     const auto cal_log = drive(cal_sim, cal_rng);
 

@@ -1,4 +1,4 @@
-#include "core/astar_reference.hpp"
+#include "support/astar_reference.hpp"
 
 #include <algorithm>
 #include <queue>

@@ -82,22 +82,6 @@ TEST(RunSweep, ResultsLandInTaskOrderForAnyJobCount) {
             base[1].output.counters.events_fired);
 }
 
-TEST(RunSweep, EngineChoicePropagatesAndMatches) {
-  exp::Scenario heap = small_scenario();
-  heap.engine = sim::EngineKind::kHeap;
-  const std::array<exp::SchedulerKind, 1> kinds = {exp::SchedulerKind::kEsg};
-  const std::array<std::uint64_t, 1> seeds = {42};
-  const auto heap_out = run_sweep(cross_product(heap, kinds, seeds), {});
-  const auto cal_out =
-      run_sweep(cross_product(small_scenario(), kinds, seeds), {});
-  ASSERT_EQ(heap_out.size(), 1u);
-  ASSERT_FALSE(heap_out[0].failed);
-  EXPECT_EQ(heap_out[0].output.counters.events_fired,
-            cal_out[0].output.counters.events_fired);
-  EXPECT_EQ(heap_out[0].output.metrics.total_cost,
-            cal_out[0].output.metrics.total_cost);
-}
-
 TEST(RunSweep, FailedCellIsIsolated) {
   std::vector<SweepTask> tasks =
       cross_product(small_scenario(),

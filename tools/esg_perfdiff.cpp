@@ -33,10 +33,7 @@ By default only *_per_sec metrics gate the verdict (higher is better);
 counters and wall times are reported informationally when they move past
 the threshold. --gate-suffix promotes more fields into the verdict.
 Rows are matched by their string fields (scheduler, ...) plus rate_scale and
-seed, so reordered baselines still line up. The "engine" field is excluded
-from the identity: it is informational provenance (both event-queue engines
-produce byte-identical runs), so baselines written before the field existed
-still match rows that carry it.
+seed, so reordered baselines still line up.
 
 exit codes: 0 no regression; 1 regression past threshold; 2 usage or
 malformed/unreadable JSON.

@@ -177,12 +177,6 @@ int main(int argc, char** argv) {
   if (!tenants.inert()) {
     elastic_desc += " tenants=" + tenant::to_string(tenants);
   }
-  // Same suppression for --engine: default-engine stdout stays unchanged
-  // (and the calendar/heap artefact cmp never trips on the header line).
-  if (opts.scenario.engine != sim::EngineKind::kCalendar) {
-    elastic_desc +=
-        std::string(" engine=") + sim::engine_name(opts.scenario.engine);
-  }
   // Sweep header lists every scheduler in the cross product. --jobs is
   // deliberately NOT printed: stdout must be byte-identical across worker
   // counts (CI cmp-asserts --jobs 4 against --jobs 1).
